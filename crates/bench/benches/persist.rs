@@ -1,19 +1,28 @@
 //! Persistence-plane benchmark: checkpoint/restore wall time and
-//! snapshot size as the warm embed cache grows (10k and 100k vectors).
+//! snapshot size, on two stacks.
 //!
-//! The snapshot payload is dominated by the cached template vectors
-//! (64 floats each here); models and registry state are a fixed few
-//! kilobytes. Alongside the criterion timings, the harness writes
+//! * `resources+bow` — one cheap app, the warm embed cache grown to 10k
+//!   and 100k vectors (64 floats each): the snapshot is the cache, models
+//!   and registry state are a fixed few kilobytes.
+//! * `six_apps+doc2vec` — the paper's deployment, six labeling apps on
+//!   one trained Doc2Vec: the snapshot is the models, and the one thing
+//!   that must not happen is the shared model shipping once per app.
+//!
+//! Alongside the criterion timings, the harness writes
 //! `BENCH_persist.json` at the repo root — absolute wall-times and
-//! byte counts per cache size — so the perf trajectory is tracked
-//! across PRs. A delta append of 1k fresh vectors is timed too: it
-//! must not scale with the size of the existing snapshot's warm set.
+//! byte counts per row — so the perf trajectory is tracked across PRs.
+//! Rows carry the snapshot format they were measured under; rows of any
+//! other format already in the file are kept as history. A delta append
+//! of a tenth of the warm set is timed too: it must cost ~that tenth.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use querc::apps::{ResourcesApp, TrainCorpus};
+use querc::apps::summarize::SummaryConfig;
+use querc::apps::{
+    AuditApp, ErrorsApp, RecommendApp, ResourcesApp, RoutingApp, SummarizeApp, TrainCorpus,
+};
 use querc::{LabeledQuery, WorkloadManager, WorkloadManagerConfig};
-use querc_embed::{BagOfTokens, Embedder};
-use querc_workloads::QueryRecord;
+use querc_embed::{BagOfTokens, Doc2Vec, Doc2VecConfig, Embedder};
+use querc_workloads::{QueryRecord, SnowCloud, SnowCloudConfig};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -61,8 +70,44 @@ fn warm_manager(corpus: &TrainCorpus, vectors: usize) -> WorkloadManager {
     mgr
 }
 
+/// Six apps sharing one Doc2Vec trained on the first `train` records of
+/// a SnowCloud trace, the cache warmed with the next `warm`; the
+/// records after those are returned as never-seen delta traffic.
+fn six_app_manager(train: usize, warm: usize) -> (WorkloadManager, Vec<LabeledQuery>) {
+    let trace = SnowCloud::generate(&SnowCloudConfig::pretrain(8, 500, 0x5ca1e)).records;
+    let corpus = TrainCorpus::from_records(trace[..train].to_vec(), 0xbe7c);
+    let shared: Arc<dyn Embedder> = Arc::new(Doc2Vec::train(
+        &corpus.token_corpus(),
+        Doc2VecConfig::default(),
+    ));
+    let mut mgr = WorkloadManager::new(WorkloadManagerConfig {
+        batch: 256,
+        ..Default::default()
+    });
+    let e = || Arc::clone(&shared);
+    mgr.register(AuditApp::new(e()), &corpus).unwrap();
+    mgr.register(ErrorsApp::new(e()), &corpus).unwrap();
+    mgr.register(RecommendApp::new(e()), &corpus).unwrap();
+    mgr.register(ResourcesApp::new(e()), &corpus).unwrap();
+    mgr.register(RoutingApp::new(e()), &corpus).unwrap();
+    let summary = SummaryConfig {
+        k: Some(8),
+        ..Default::default()
+    };
+    mgr.register(SummarizeApp::new(e()).with_config(summary), &corpus)
+        .unwrap();
+    let queries = |records: &[QueryRecord]| -> Vec<LabeledQuery> {
+        records.iter().map(LabeledQuery::from_record).collect()
+    };
+    // One namespace: warming through one app warms all six.
+    mgr.submit_batch("resources", queries(&trace[train..train + warm]))
+        .unwrap();
+    (mgr, queries(&trace[train + warm..]))
+}
+
 struct Measured {
-    vectors: usize,
+    stack: &'static str,
+    vectors: u64,
     snapshot_bytes: u64,
     checkpoint_ms: f64,
     restore_ms: f64,
@@ -70,22 +115,30 @@ struct Measured {
     delta_bytes: u64,
 }
 
-fn measure(corpus: &TrainCorpus, vectors: usize, path: &PathBuf) -> Measured {
+fn measure_resources(corpus: &TrainCorpus, vectors: usize, path: &PathBuf) -> Measured {
     let mgr = warm_manager(corpus, vectors);
+    // A tenth of the warm set arrives as fresh templates after the full
+    // snapshot → delta append must cost ~that tenth, not the whole set.
+    let delta_n = (vectors / 10).max(16);
+    let fresh = (0..delta_n)
+        .map(|i| distinct_template(vectors + i))
+        .collect();
+    measure("resources+bow", mgr, fresh, path)
+}
 
+fn measure(
+    stack: &'static str,
+    mgr: WorkloadManager,
+    fresh: Vec<LabeledQuery>,
+    path: &PathBuf,
+) -> Measured {
+    let vectors = mgr.embed_cache_stats().entries;
     let t = Instant::now();
     mgr.checkpoint(path).unwrap();
     let checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
     let snapshot_bytes = std::fs::metadata(path).unwrap().len();
 
-    // A tenth of the warm set arrives as fresh templates after the full
-    // snapshot → delta append must cost ~that tenth, not the whole set.
-    let delta_n = (vectors / 10).max(16);
-    mgr.submit_batch(
-        "resources",
-        (0..delta_n).map(|i| distinct_template(vectors + i)),
-    )
-    .unwrap();
+    mgr.submit_batch("resources", fresh).unwrap();
     let t = Instant::now();
     mgr.checkpoint_delta(path).unwrap();
     let delta_append_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -105,6 +158,7 @@ fn measure(corpus: &TrainCorpus, vectors: usize, path: &PathBuf) -> Measured {
     drop(restored.drain());
 
     Measured {
+        stack,
         vectors,
         snapshot_bytes,
         checkpoint_ms,
@@ -115,22 +169,32 @@ fn measure(corpus: &TrainCorpus, vectors: usize, path: &PathBuf) -> Measured {
 }
 
 fn write_report(rows: &[Measured]) {
-    let mut out =
-        String::from("{\n  \"bench\": \"persist\",\n  \"unit\": \"ms\",\n  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"vectors\": {}, \"snapshot_bytes\": {}, \"checkpoint_ms\": {:.2}, \"restore_ms\": {:.2}, \"delta_append_ms\": {:.2}, \"delta_bytes\": {}}}{}\n",
+    let dest = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_persist.json");
+    let format = format!("{{\"format\": \"{}\"", querc_persist::MAGIC);
+    // Rows measured under another snapshot format stay as history.
+    let mut lines: Vec<String> = std::fs::read_to_string(&dest)
+        .unwrap_or_default()
+        .lines()
+        .map(|l| l.trim().trim_end_matches(',').to_string())
+        .filter(|l| l.starts_with("{\"format\"") && !l.starts_with(&format))
+        .collect();
+    lines.extend(rows.iter().map(|r| {
+        format!(
+            "{format}, \"stack\": \"{}\", \"vectors\": {}, \"snapshot_bytes\": {}, \"checkpoint_ms\": {:.2}, \"restore_ms\": {:.2}, \"delta_append_ms\": {:.2}, \"delta_bytes\": {}}}",
+            r.stack,
             r.vectors,
             r.snapshot_bytes,
             r.checkpoint_ms,
             r.restore_ms,
             r.delta_append_ms,
             r.delta_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let dest = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_persist.json");
+        )
+    }));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let out = format!(
+        "{{\n  \"bench\": \"persist\",\n  \"unit\": \"ms\",\n  \"cores\": {cores},\n  \"results\": [\n    {}\n  ]\n}}\n",
+        lines.join(",\n    ")
+    );
     std::fs::write(&dest, out).unwrap();
     println!("wrote {}", dest.display());
 }
@@ -151,12 +215,19 @@ fn bench_persist(c: &mut Criterion) {
     } else {
         &[10_000, 100_000]
     };
-    let rows: Vec<Measured> = sizes.iter().map(|&n| measure(&corpus, n, &snap)).collect();
+    let mut rows: Vec<Measured> = sizes
+        .iter()
+        .map(|&n| measure_resources(&corpus, n, &snap))
+        .collect();
+    let (train, warm) = if test_mode { (96, 64) } else { (2000, 1500) };
+    let (six, fresh) = six_app_manager(train, warm);
+    rows.push(measure("six_apps+doc2vec", six, fresh, &snap));
     for r in &rows {
         assert!(r.snapshot_bytes > 0);
         assert!(
             r.delta_bytes < r.snapshot_bytes,
-            "a 1k-vector delta must be smaller than the full snapshot"
+            "{}: a delta must be smaller than the full snapshot",
+            r.stack
         );
     }
     if !test_mode {

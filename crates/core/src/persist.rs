@@ -1,14 +1,24 @@
-//! Persistence-plane glue: the JSON section payloads stored inside a
+//! Persistence-plane glue: the section payloads stored inside a
 //! `querc-persist` snapshot, and the shared validation helpers restore
 //! paths use.
 //!
-//! The container (`querc_persist::Snapshot`) guarantees sections arrive
-//! byte-identical or not at all (per-section CRCs); everything *inside*
-//! a section is still untrusted once parsed — a stale or hand-edited
-//! snapshot can carry shapes the serving hot paths would index-panic
-//! on. Every restore helper here therefore validates against the live
-//! configuration (embedder dims, arena bounds, matrix shapes) and
-//! reports [`QuercError::Corrupt`] instead.
+//! QUERCSNAP v2 sections (see ARCHITECTURE.md for the table):
+//!
+//! * `manifest`, `registry`, `app:<name>`, `qos` — small JSON documents;
+//! * `embedder:<ns-hex>` — one per distinct
+//!   [`Embedder::cache_namespace`], raw text: the family tag, a newline,
+//!   the `export_spec` payload. Apps and deployments name their
+//!   embedder by namespace, so six apps on one model ship it once;
+//! * `app:<name>:model` — the `save_model` payload, raw text;
+//! * `embed_cache`, `embed_cache_delta` — little-endian binary records.
+//!
+//! The container guarantees sections arrive byte-identical or not at
+//! all (per-section CRCs); everything *inside* a section is still
+//! untrusted once parsed — a stale or hand-edited snapshot can carry
+//! shapes the serving hot paths would index-panic on. Every restore
+//! helper here therefore validates against the live configuration
+//! (embedder dims, arena bounds, matrix shapes) and reports
+//! [`QuercError::Corrupt`] instead.
 
 use crate::apps::{
     AuditApp, DynWorkloadApp, ErrorsApp, RecommendApp, ResourcesApp, RoutingApp, SummarizeApp,
@@ -34,115 +44,98 @@ pub(crate) fn to_json<T: serde::Serialize>(value: &T) -> Option<String> {
     serde_json::to_string(value).ok()
 }
 
-/// Parse a section payload, mapping any schema mismatch to
-/// [`QuercError::Corrupt`] tagged with the section being read.
+/// Parse a JSON payload, mapping any schema mismatch to
+/// [`QuercError::Corrupt`] tagged with what was being read.
 pub(crate) fn from_json<T: serde::de::DeserializeOwned>(json: &str, what: &str) -> Result<T> {
     serde_json::from_str(json).map_err(|e| corrupt(format!("{what}: {e}")))
 }
 
-/// Decode an embed-cache section — `[[ns, fp, [f32, ...]], ...]` — with
-/// a single-pass streaming parser instead of the generic shim path.
-///
-/// The warm set dominates snapshot bytes (100k × 64-float vectors ≈
-/// 30 MB), and the generic path pays for it twice: a `json::Value` tree
-/// with one heap `String` per number (~6.6M allocations), then a second
-/// walk parsing each. This decoder goes straight from payload bytes to
-/// `(u64, u64, Vec<f32>)` triples. It accepts exactly what the shim
-/// serializer emits (plus interstitial whitespace and `null` → NaN, the
-/// shim's float convention); on *any* shape surprise it falls back to
-/// [`from_json`], so error reporting and schema tolerance are unchanged.
-pub(crate) fn parse_embed_cache(json: &str, what: &str) -> Result<Vec<(u64, u64, Vec<f32>)>> {
-    match fast_embed_cache(json) {
-        Some(entries) => Ok(entries),
-        None => from_json(json, what),
+/// Fixed part of one embed-cache record: `ns u64, fp u64, dim u32`,
+/// little-endian, followed by `dim` little-endian `f32`s.
+const CACHE_RECORD_HEAD: usize = 8 + 8 + 4;
+
+/// Encode cache entries as the `embed_cache` / `embed_cache_delta`
+/// payload: records back to back until the section ends, no count
+/// prefix. Bit-exact for every `f32`, NaN payloads and `-0.0` included.
+pub(crate) fn encode_embed_cache(entries: &[(u64, u64, Vec<f32>)]) -> Vec<u8> {
+    let floats: usize = entries.iter().map(|(_, _, v)| v.len()).sum();
+    let mut out = Vec::with_capacity(entries.len() * CACHE_RECORD_HEAD + floats * 4);
+    for (ns, fp, v) in entries {
+        let dim = u32::try_from(v.len()).expect("an embedding has fewer than 2^32 dims");
+        out.extend_from_slice(&ns.to_le_bytes());
+        out.extend_from_slice(&fp.to_le_bytes());
+        out.extend_from_slice(&dim.to_le_bytes());
+        for x in v {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
     }
+    out
 }
 
-fn fast_embed_cache(json: &str) -> Option<Vec<(u64, u64, Vec<f32>)>> {
-    let b = json.as_bytes();
-    let mut p = 0usize;
-    let skip_ws = |p: &mut usize| {
-        while matches!(b.get(*p), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *p += 1;
+/// Decode an embed-cache payload onto the end of `out`. Every length is
+/// checked against the bytes that remain **before** anything is
+/// allocated for it, so a forged `dim` costs an error, not memory.
+pub(crate) fn decode_embed_cache(
+    mut bytes: &[u8],
+    what: &str,
+    out: &mut Vec<(u64, u64, Vec<f32>)>,
+) -> Result<()> {
+    let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("an 8-byte slice"));
+    while !bytes.is_empty() {
+        if bytes.len() < CACHE_RECORD_HEAD {
+            return Err(corrupt(format!(
+                "{what}: {} trailing bytes are not a record",
+                bytes.len()
+            )));
         }
-    };
-    let eat = |p: &mut usize, c: u8| -> Option<()> { (b.get(*p) == Some(&c)).then(|| *p += 1) };
-    // Scan one number token; boundaries are ASCII so the str slice is
-    // always valid.
-    fn number<'a>(json: &'a str, p: &mut usize) -> Option<&'a str> {
-        let b = json.as_bytes();
-        let start = *p;
-        while matches!(
-            b.get(*p),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            *p += 1;
-        }
-        (*p > start).then(|| &json[start..*p])
+        let (head, rest) = bytes.split_at(CACHE_RECORD_HEAD);
+        let dim = u32::from_le_bytes(head[16..].try_into().expect("a 4-byte slice"));
+        let body = usize::try_from(dim)
+            .ok()
+            .and_then(|d| d.checked_mul(4))
+            .filter(|&n| n <= rest.len())
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "{what}: record claims {dim} floats with {} bytes left",
+                    rest.len()
+                ))
+            })?;
+        let (floats, rest) = rest.split_at(body);
+        let v = floats
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("a 4-byte chunk")))
+            .collect();
+        out.push((le_u64(&head[..8]), le_u64(&head[8..16]), v));
+        bytes = rest;
     }
-
-    skip_ws(&mut p);
-    eat(&mut p, b'[')?;
-    skip_ws(&mut p);
-    // Size the output from the entry-open count so the big Vec never
-    // reallocates mid-parse.
-    let mut out = Vec::with_capacity(json.matches("[[").count().max(1));
-    if eat(&mut p, b']').is_none() {
-        loop {
-            skip_ws(&mut p);
-            eat(&mut p, b'[')?;
-            skip_ws(&mut p);
-            let ns = number(json, &mut p)?.parse::<u64>().ok()?;
-            skip_ws(&mut p);
-            eat(&mut p, b',')?;
-            skip_ws(&mut p);
-            let fp = number(json, &mut p)?.parse::<u64>().ok()?;
-            skip_ws(&mut p);
-            eat(&mut p, b',')?;
-            skip_ws(&mut p);
-            eat(&mut p, b'[')?;
-            // Vectors in one section share a dim; reuse the last length
-            // as the capacity hint.
-            let mut v: Vec<f32> = Vec::with_capacity(
-                out.last()
-                    .map_or(0, |(_, _, prev): &(_, _, Vec<f32>)| prev.len()),
-            );
-            skip_ws(&mut p);
-            if eat(&mut p, b']').is_none() {
-                loop {
-                    skip_ws(&mut p);
-                    if b[p..].starts_with(b"null") {
-                        p += 4;
-                        v.push(f32::NAN);
-                    } else {
-                        v.push(number(json, &mut p)?.parse::<f32>().ok()?);
-                    }
-                    skip_ws(&mut p);
-                    if eat(&mut p, b',').is_some() {
-                        continue;
-                    }
-                    eat(&mut p, b']')?;
-                    break;
-                }
-            }
-            skip_ws(&mut p);
-            eat(&mut p, b']')?;
-            out.push((ns, fp, v));
-            skip_ws(&mut p);
-            if eat(&mut p, b',').is_some() {
-                continue;
-            }
-            eat(&mut p, b']')?;
-            break;
-        }
-    }
-    skip_ws(&mut p);
-    (p == b.len()).then_some(out)
+    Ok(())
 }
 
-/// Decode a section's bytes as UTF-8 (all payloads are JSON text).
-pub(crate) fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str> {
+/// Decode a text section's bytes as UTF-8.
+fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str> {
     std::str::from_utf8(bytes).map_err(|_| corrupt(format!("{what}: payload is not UTF-8")))
+}
+
+/// The raw text of a section the snapshot must have.
+pub(crate) fn section_text<'a>(
+    reader: &'a querc_persist::SnapshotReader,
+    section: &str,
+) -> Result<&'a str> {
+    let bytes = reader
+        .section(section)
+        .ok_or_else(|| corrupt(format!("section {section:?} is missing")))?;
+    utf8(bytes, section)
+}
+
+/// Parse the JSON section `section`; `None` when the snapshot has none.
+pub(crate) fn json_section<T: serde::de::DeserializeOwned>(
+    reader: &querc_persist::SnapshotReader,
+    section: &str,
+) -> Result<Option<T>> {
+    reader
+        .section(section)
+        .map(|bytes| from_json(utf8(bytes, section)?, section))
+        .transpose()
 }
 
 /// Map a `querc-learn` restore failure into [`QuercError::Corrupt`].
@@ -153,15 +146,12 @@ pub(crate) fn bad_learn_state(e: querc_learn::LearnError) -> QuercError {
 /// Reject any tree that splits on a feature column past `dim` — the
 /// inference path indexes `v[feature]` unchecked.
 pub(crate) fn check_tree(tree: &TreeState, dim: usize) -> Result<()> {
-    for n in &tree.nodes {
-        if !n.leaf && n.feature >= dim {
-            return Err(corrupt(format!(
-                "tree splits on feature {} but vectors have dim {dim}",
-                n.feature
-            )));
-        }
+    match tree.split_features().find(|&feature| feature >= dim) {
+        Some(feature) => Err(corrupt(format!(
+            "tree splits on feature {feature} but vectors have dim {dim}"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// [`check_tree`] over every tree of a forest.
@@ -221,10 +211,8 @@ pub(crate) struct DeploymentState {
     pub(crate) version: u64,
     /// The label this classifier attaches.
     pub(crate) label_name: String,
-    /// Embedder family tag (`querc_embed::io::restore_embedder` input).
-    pub(crate) embedder_kind: String,
-    /// Embedder weights, serialized.
-    pub(crate) embedder_json: String,
+    /// Cache namespace of its embedder — names the `embedder:` section.
+    pub(crate) embedder: u64,
     /// The labeler half.
     pub(crate) labeler: LabelerState,
 }
@@ -238,18 +226,56 @@ pub(crate) struct RegistryState {
     pub(crate) events: Vec<RegistryEvent>,
 }
 
-/// One `app:<name>` section: the app's embedder spec plus its fitted
-/// model as produced by [`crate::apps::WorkloadApp::save_model`].
+/// One `app:<name>` section: the header of a persisted app. Its fitted
+/// model ([`crate::apps::WorkloadApp::save_model`] output, opaque to
+/// this layer) is the raw payload of the [`model_section`] beside it.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub(crate) struct AppState {
     /// Registration key; must match the section's name suffix.
     pub(crate) app: String,
-    /// Embedder family tag.
-    pub(crate) embedder_kind: String,
-    /// Embedder weights, serialized.
-    pub(crate) embedder_json: String,
-    /// The app's model payload (opaque to this layer).
-    pub(crate) model_json: String,
+    /// Cache namespace of its embedder — names the `embedder:` section.
+    pub(crate) embedder: u64,
+}
+
+/// Name of the section holding app `name`'s model payload. Under the
+/// `app:` prefix, so tools that total "app bytes" by prefix count it.
+pub(crate) fn model_section(name: &str) -> String {
+    format!("app:{name}:model")
+}
+
+/// Name of the section holding the embedder of cache namespace `ns`.
+fn embedder_section(ns: u64) -> String {
+    format!("embedder:{ns:016x}")
+}
+
+/// Checkpoint side of the one-section-per-namespace rule: exports each
+/// distinct embedder once, however many apps and deployments share it.
+#[derive(Default)]
+pub(crate) struct EmbedderSections {
+    /// Namespace → whether that embedder serializes at all.
+    exported: HashMap<u64, bool>,
+}
+
+impl EmbedderSections {
+    /// Make sure `embedder` has its section in `snap`; returns the
+    /// namespace to reference it by, or `None` for an embedder that
+    /// opts out of persistence.
+    pub(crate) fn add(
+        &mut self,
+        snap: &mut querc_persist::Snapshot,
+        embedder: &dyn Embedder,
+    ) -> Option<u64> {
+        let ns = embedder.cache_namespace();
+        let exported = *self.exported.entry(ns).or_insert_with(|| {
+            let Some((kind, spec)) = embedder.export_spec() else {
+                return false;
+            };
+            let payload = [kind.as_bytes(), b"\n", spec.as_bytes()].concat();
+            snap.add_section(&embedder_section(ns), payload);
+            true
+        });
+        exported.then_some(ns)
+    }
 }
 
 /// One persisted per-tenant QoS policy override (see
@@ -268,32 +294,46 @@ pub(crate) struct QosPolicyState {
 }
 
 /// The `qos` section: the tenant policy overrides installed at
-/// checkpoint time. **Additive** — written only when QoS is enabled,
-/// ignored by readers that predate it, and absent from pre-QoS
-/// snapshots without failing restore (no format version bump).
+/// checkpoint time. Written only when QoS is enabled; a snapshot
+/// without it restores with no overrides.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub(crate) struct QosSectionState {
     /// Explicit per-tenant overrides, sorted by tenant.
     pub(crate) policies: Vec<QosPolicyState>,
 }
 
-/// Restores embedders from `(kind, json)` specs, deduplicating by spec
+/// Restore side of the rule: each `embedder:` section is parsed once,
 /// so apps and classifiers that shared one embedder at checkpoint time
 /// share one `Arc` (and one cache namespace's memory) after restore.
 #[derive(Default)]
 pub(crate) struct EmbedderCache {
-    map: HashMap<(String, String), Arc<dyn Embedder>>,
+    map: HashMap<u64, Arc<dyn Embedder>>,
 }
 
 impl EmbedderCache {
-    pub(crate) fn restore(&mut self, kind: &str, json: &str) -> Result<Arc<dyn Embedder>> {
-        let key = (kind.to_string(), json.to_string());
-        if let Some(e) = self.map.get(&key) {
+    pub(crate) fn restore(
+        &mut self,
+        reader: &querc_persist::SnapshotReader,
+        ns: u64,
+    ) -> Result<Arc<dyn Embedder>> {
+        if let Some(e) = self.map.get(&ns) {
             return Ok(Arc::clone(e));
         }
-        let e = querc_embed::io::restore_embedder(kind, json)
-            .map_err(|err| corrupt(format!("embedder {kind:?}: {err}")))?;
-        self.map.insert(key, Arc::clone(&e));
+        let section = embedder_section(ns);
+        let (kind, spec) = section_text(reader, &section)?
+            .split_once('\n')
+            .ok_or_else(|| corrupt(format!("{section:?}: no family line")))?;
+        let e = querc_embed::io::restore_embedder(kind, spec)
+            .map_err(|err| corrupt(format!("{section:?} ({kind}): {err}")))?;
+        // Warm cache entries are keyed by namespace: an embedder that
+        // restores to a different function must not inherit them.
+        if e.cache_namespace() != ns {
+            return Err(corrupt(format!(
+                "{section:?} restores to namespace {:016x}",
+                e.cache_namespace()
+            )));
+        }
+        self.map.insert(ns, Arc::clone(&e));
         Ok(e)
     }
 }
@@ -321,51 +361,122 @@ pub(crate) fn restore_app(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use querc_linalg::Pcg32;
 
-    fn roundtrip(entries: &Vec<(u64, u64, Vec<f32>)>) {
-        let json = to_json(entries).unwrap();
-        let fast = fast_embed_cache(&json).expect("writer output takes the fast path");
-        let generic: Vec<(u64, u64, Vec<f32>)> = from_json(&json, "t").unwrap();
-        assert_eq!(fast.len(), generic.len());
-        for ((fa, fb, fv), (ga, gb, gv)) in fast.iter().zip(&generic) {
-            assert_eq!((fa, fb), (ga, gb));
-            // Bit-compare so NaN round-trips count as equal too.
-            let f_bits: Vec<u32> = fv.iter().map(|x| x.to_bits()).collect();
-            let g_bits: Vec<u32> = gv.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(f_bits, g_bits);
-        }
+    fn decode(bytes: &[u8]) -> Result<Vec<(u64, u64, Vec<f32>)>> {
+        let mut out = Vec::new();
+        decode_embed_cache(bytes, "t", &mut out).map(|()| out)
     }
 
-    #[test]
-    fn fast_embed_cache_matches_generic_parser() {
-        roundtrip(&vec![]);
-        roundtrip(&vec![(0, u64::MAX, vec![])]);
-        roundtrip(&vec![
+    fn sample() -> Vec<(u64, u64, Vec<f32>)> {
+        vec![
             (1, 2, vec![0.0, -0.0, 1.5, -3.25e-7, f32::MIN, f32::MAX]),
-            (u64::MAX, 0, vec![f32::NAN, 0.3]),
+            (u64::MAX, 0, vec![]),
             (42, 7, (0..64).map(|i| (i as f32 * 0.1).sin()).collect()),
-        ]);
+        ]
     }
 
     #[test]
-    fn fast_embed_cache_accepts_whitespace_and_rejects_junk() {
-        let spaced = " [ [1 , 2 , [0.5, null] ] ,\n[3,4,[]] ] ";
-        let v = fast_embed_cache(spaced).expect("whitespace tolerated");
-        assert_eq!(v.len(), 2);
-        assert_eq!((v[0].0, v[0].1), (1, 2));
-        assert!(v[0].2[1].is_nan());
-        // Shape surprises must decline (→ generic fallback), not panic.
-        for junk in [
-            "",
-            "{}",
-            "[[1,2,[0.5]]",
-            "[[1,2,[0.5]]] trailing",
-            r#"[["a",2,[0.5]]]"#,
-            "[[1,2,[true]]]",
-            "[[1,2,0.5]]",
-            "[[1,2,[0.5],9]]",
-        ] {
-            assert!(fast_embed_cache(junk).is_none(), "accepted {junk:?}");
+    fn embed_cache_records_round_trip_every_bit_pattern() {
+        assert!(decode(&encode_embed_cache(&[])).unwrap().is_empty());
+        let odd = f32::from_bits(0x7fc0_1234); // NaN with a payload
+        let mut entries = sample();
+        entries.push((
+            9,
+            9,
+            vec![
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                odd,
+                -0.0,
+                f32::MIN_POSITIVE / 2.0,
+            ],
+        ));
+        let bytes = encode_embed_cache(&entries);
+        assert_eq!(
+            bytes.len(),
+            entries
+                .iter()
+                .map(|(_, _, v)| 20 + 4 * v.len())
+                .sum::<usize>()
+        );
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back.len(), entries.len());
+        for ((ns, fp, v), (bns, bfp, bv)) in entries.iter().zip(&back) {
+            assert_eq!((ns, fp), (bns, bfp));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(v), bits(bv));
         }
+    }
+
+    /// Each reader branch by name: a short head, a `dim` that overruns
+    /// the section by one float, the largest `dim` there is, and a body
+    /// cut mid-float — all errors, none an allocation of `dim` floats.
+    #[test]
+    fn forged_cache_records_are_corrupt_not_allocations() {
+        let good = encode_embed_cache(&sample());
+        let corrupt = |bytes: &[u8]| matches!(decode(bytes), Err(QuercError::Corrupt { .. }));
+        assert!(corrupt(&good[..CACHE_RECORD_HEAD - 1]), "short head");
+        assert!(corrupt(&good[..good.len() - 1]), "body cut mid-float");
+        let mut one_over = good.clone();
+        one_over[16..20].copy_from_slice(&7u32.to_le_bytes()); // first record holds 6
+        assert!(
+            corrupt(&one_over[..CACHE_RECORD_HEAD + 6 * 4]),
+            "dim one past the end"
+        );
+        let mut huge = good.clone();
+        huge[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(corrupt(&huge), "dim u32::MAX");
+    }
+
+    #[test]
+    fn fuzzed_cache_payloads_never_panic_or_outgrow_their_bytes() {
+        let good = encode_embed_cache(&sample());
+        // Where each record's `dim` field starts.
+        let dims: Vec<usize> = sample()
+            .iter()
+            .scan(0, |at, (_, _, v)| {
+                let dim_at = *at + 16;
+                *at += CACHE_RECORD_HEAD + 4 * v.len();
+                Some(dim_at)
+            })
+            .collect();
+        let mut rng = Pcg32::new(0x5eed_cac4e);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            let mut evil = good.clone();
+            for _ in 0..1 + rng.below(4) {
+                // Half the cases aim at a `dim` field, where a hit matters.
+                let at = if case % 2 == 0 {
+                    dims[rng.below_usize(dims.len())] + rng.below_usize(4)
+                } else {
+                    rng.below_usize(evil.len())
+                };
+                evil[at] = rng.next_u32() as u8;
+            }
+            if case % 4 == 0 {
+                evil.truncate(rng.below_usize(evil.len() + 1));
+            }
+            match decode(&evil) {
+                // A forged dim that still fits re-frames the rest; the
+                // records it yields tile the payload, byte for byte.
+                Ok(entries) => {
+                    accepted += 1;
+                    let tiled: usize = entries
+                        .iter()
+                        .map(|(_, _, v)| CACHE_RECORD_HEAD + 4 * v.len())
+                        .sum();
+                    assert_eq!(tiled, evil.len(), "case {case}");
+                }
+                Err(e) => {
+                    rejected += 1;
+                    assert!(
+                        matches!(e, QuercError::Corrupt { .. }),
+                        "case {case}: {e:?}"
+                    );
+                }
+            }
+        }
+        assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
     }
 }

@@ -623,6 +623,12 @@ impl WorkloadManager {
         })
     }
 
+    /// The serving embedder `app` was registered with — one `Arc` for
+    /// every app sharing it — or `None` for an app without one.
+    pub fn embedder(&self, app: &str) -> Result<Option<Arc<dyn Embedder>>> {
+        Ok(self.entry(app)?.embedder.clone())
+    }
+
     /// Names of all registered apps, sorted.
     pub fn app_names(&self) -> Vec<String> {
         self.apps.keys().cloned().collect()
@@ -860,7 +866,8 @@ impl WorkloadManager {
     }
 
     /// Write a full, versioned snapshot of the serving stack to `path`:
-    /// every persistable fitted app (embedder weights + model), the
+    /// every persistable fitted app's model, each distinct embedder
+    /// **once** however many apps and deployments share it, the
     /// registry's deployments **with their pinned version numbers** and
     /// full deploy/undeploy history, and the warm entries of the shared
     /// embed cache. The write is atomic (tmp file + rename) and every
@@ -881,6 +888,11 @@ impl WorkloadManager {
         use crate::persist::{self, AppState, DeploymentState, ManifestState, RegistryState};
         let encode_failed = || persist::corrupt("snapshot payload failed to serialize");
 
+        let mut snap = querc_persist::Snapshot::new();
+        // Each distinct embedder is exported once, into a section of its
+        // own that apps and deployments name by cache namespace.
+        let mut embedders = persist::EmbedderSections::default();
+
         let mut deployments = Vec::new();
         for name in self.registry.names() {
             let Some(classifier) = self.registry.get(&name) else {
@@ -889,18 +901,17 @@ impl WorkloadManager {
             let Some(version) = self.registry.version(&name) else {
                 continue;
             };
-            let Some((kind, embedder_json)) = classifier.embedder().export_spec() else {
+            let Some(labeler) = classifier.labeler().export_state() else {
                 continue;
             };
-            let Some(labeler) = classifier.labeler().export_state() else {
+            let Some(embedder) = embedders.add(&mut snap, classifier.embedder().as_ref()) else {
                 continue;
             };
             deployments.push(DeploymentState {
                 name,
                 version,
                 label_name: classifier.label_name.clone(),
-                embedder_kind: kind.to_string(),
-                embedder_json,
+                embedder,
                 labeler,
             });
         }
@@ -910,27 +921,28 @@ impl WorkloadManager {
         };
 
         let mut app_names = Vec::new();
-        let mut app_sections = Vec::new();
         for (name, entry) in &self.apps {
             let Some(embedder) = &entry.embedder else {
                 continue;
             };
-            let Some((kind, embedder_json)) = embedder.export_spec() else {
+            let Some(model) = entry.fitted.save_model() else {
                 continue;
             };
-            let Some(model_json) = entry.fitted.save_model() else {
+            let Some(embedder) = embedders.add(&mut snap, embedder.as_ref()) else {
                 continue;
             };
+            let header = AppState {
+                app: name.clone(),
+                embedder,
+            };
+            snap.add_section(
+                &format!("app:{name}"),
+                persist::to_json(&header).ok_or_else(encode_failed)?,
+            );
+            // The model is opaque text: stored as the section's bytes,
+            // not escaped into the header's JSON.
+            snap.add_section(&persist::model_section(name), model);
             app_names.push(name.clone());
-            app_sections.push((
-                format!("app:{name}"),
-                AppState {
-                    app: name.clone(),
-                    embedder_kind: kind.to_string(),
-                    embedder_json,
-                    model_json,
-                },
-            ));
         }
 
         let manifest = ManifestState {
@@ -941,28 +953,6 @@ impl WorkloadManager {
                 .map(|d| d.name.clone())
                 .collect(),
         };
-        let cache_entries = self.plane.as_ref().map(|p| p.export()).unwrap_or_default();
-
-        // Tenant policy overrides, written only when QoS is live — an
-        // additive section, so pre-QoS readers and snapshots interop
-        // without a format version bump.
-        let qos_section = self
-            .qos
-            .as_ref()
-            .map(|qos| crate::persist::QosSectionState {
-                policies: qos
-                    .policies()
-                    .into_iter()
-                    .map(|(tenant, p)| crate::persist::QosPolicyState {
-                        tenant,
-                        weight: p.weight,
-                        rate_per_sec: p.rate.map(|r| r.rate_per_sec),
-                        burst: p.rate.map(|r| r.burst),
-                    })
-                    .collect(),
-            });
-
-        let mut snap = querc_persist::Snapshot::new();
         snap.add_section(
             "manifest",
             persist::to_json(&manifest).ok_or_else(encode_failed)?,
@@ -971,15 +961,26 @@ impl WorkloadManager {
             "registry",
             persist::to_json(&registry).ok_or_else(encode_failed)?,
         );
-        for (section, state) in &app_sections {
-            snap.add_section(section, persist::to_json(state).ok_or_else(encode_failed)?);
-        }
-        snap.add_section(
-            "embed_cache",
-            persist::to_json(&cache_entries).ok_or_else(encode_failed)?,
-        );
-        if let Some(state) = &qos_section {
-            snap.add_section("qos", persist::to_json(state).ok_or_else(encode_failed)?);
+
+        let cache_entries = self.plane.as_ref().map(|p| p.export()).unwrap_or_default();
+        snap.add_section("embed_cache", persist::encode_embed_cache(&cache_entries));
+
+        // Tenant policy overrides, written only when QoS is live; a
+        // snapshot without the section restores with none to apply.
+        if let Some(qos) = &self.qos {
+            let state = persist::QosSectionState {
+                policies: qos
+                    .policies()
+                    .into_iter()
+                    .map(|(tenant, p)| persist::QosPolicyState {
+                        tenant,
+                        weight: p.weight,
+                        rate_per_sec: p.rate.map(|r| r.rate_per_sec),
+                        burst: p.rate.map(|r| r.burst),
+                    })
+                    .collect(),
+            };
+            snap.add_section("qos", persist::to_json(&state).ok_or_else(encode_failed)?);
         }
         snap.write_to(path)?;
 
@@ -1012,11 +1013,12 @@ impl WorkloadManager {
         if fresh.is_empty() {
             return Ok(());
         }
-        let payload = persist::to_json(&fresh)
-            .ok_or_else(|| persist::corrupt("snapshot payload failed to serialize"))?;
         querc_persist::append_to(
             path,
-            &[("embed_cache_delta".to_string(), payload.into_bytes())],
+            &[(
+                "embed_cache_delta".to_string(),
+                persist::encode_embed_cache(&fresh),
+            )],
         )?;
         keys.extend(fresh.iter().map(|(ns, fp, _)| (*ns, *fp)));
         Ok(())
@@ -1042,22 +1044,18 @@ impl WorkloadManager {
         use crate::persist::{self, AppState, EmbedderCache, ManifestState, RegistryState};
 
         let reader = querc_persist::SnapshotReader::open(path)?;
-        let manifest: ManifestState = match reader.section("manifest") {
-            Some(bytes) => persist::from_json(persist::utf8(bytes, "manifest")?, "manifest")?,
-            None => return Err(persist::corrupt("snapshot has no manifest section")),
-        };
+        let manifest: ManifestState = persist::json_section(&reader, "manifest")?
+            .ok_or_else(|| persist::corrupt("snapshot has no manifest section"))?;
 
         let mut mgr = WorkloadManager::new(cfg);
         let mut embedders = EmbedderCache::default();
 
         // Tenant QoS policies, when the new process runs with QoS on and
-        // the snapshot carries the (additive) section. A pre-QoS
-        // snapshot simply has none to apply; a QoS snapshot restored
-        // into a QoS-disabled config ignores them — both directions
-        // interop.
-        if let (Some(qos), Some(bytes)) = (&mgr.qos, reader.section("qos")) {
-            let state: crate::persist::QosSectionState =
-                persist::from_json(persist::utf8(bytes, "qos")?, "qos")?;
+        // the snapshot carries the section. A snapshot written with QoS
+        // off simply has none to apply; a QoS snapshot restored into a
+        // QoS-disabled config ignores them — both directions interop.
+        let policies: Option<persist::QosSectionState> = persist::json_section(&reader, "qos")?;
+        if let (Some(qos), Some(state)) = (&mgr.qos, policies) {
             for p in state.policies {
                 let rate = match (p.rate_per_sec, p.burst) {
                     (Some(rate_per_sec), Some(burst)) => Some(crate::qos::RateLimit {
@@ -1084,11 +1082,10 @@ impl WorkloadManager {
 
         // Registry first: register_fitted validates `attach_labels`
         // against it, so deployments must be live before any app is.
-        if let Some(bytes) = reader.section("registry") {
-            let state: RegistryState =
-                persist::from_json(persist::utf8(bytes, "registry")?, "registry")?;
+        let registry: Option<RegistryState> = persist::json_section(&reader, "registry")?;
+        if let Some(state) = registry {
             for d in state.deployments {
-                let embedder = embedders.restore(&d.embedder_kind, &d.embedder_json)?;
+                let embedder = embedders.restore(&reader, d.embedder)?;
                 let labeler = TrainedLabeler::from_state(d.labeler)?;
                 if labeler.dim() != embedder.dim() {
                     return Err(persist::corrupt(format!(
@@ -1107,21 +1104,21 @@ impl WorkloadManager {
 
         for name in &manifest.apps {
             let section = format!("app:{name}");
-            let bytes = reader.section(&section).ok_or_else(|| {
+            let state: AppState = persist::json_section(&reader, &section)?.ok_or_else(|| {
                 persist::corrupt(format!(
                     "manifest lists {section:?} but the section is missing"
                 ))
             })?;
-            let state: AppState = persist::from_json(persist::utf8(bytes, &section)?, &section)?;
             if state.app != *name {
                 return Err(persist::corrupt(format!(
                     "section {section:?} claims to be app {:?}",
                     state.app
                 )));
             }
-            let embedder = embedders.restore(&state.embedder_kind, &state.embedder_json)?;
+            let embedder = embedders.restore(&reader, state.embedder)?;
             let app = persist::restore_app(name, embedder)?;
-            let model = app.load_model_dyn(&state.model_json)?;
+            let model = persist::section_text(&reader, &persist::model_section(name))?;
+            let model = app.load_model_dyn(model)?;
             mgr.register_fitted(Arc::new(FittedApp::from_parts(app, model)))?;
         }
 
@@ -1130,16 +1127,10 @@ impl WorkloadManager {
         // undersized new cache keeps the hottest tail.
         if let Some(plane) = &mgr.plane {
             let mut restored: Vec<(u64, u64, Vec<f32>)> = Vec::new();
-            for bytes in reader
-                .sections("embed_cache")
-                .into_iter()
-                .chain(reader.sections("embed_cache_delta"))
-            {
-                let entries = persist::parse_embed_cache(
-                    persist::utf8(bytes, "embed_cache")?,
-                    "embed_cache",
-                )?;
-                restored.extend(entries);
+            for name in ["embed_cache", "embed_cache_delta"] {
+                for bytes in reader.sections(name) {
+                    persist::decode_embed_cache(bytes, name, &mut restored)?;
+                }
             }
             {
                 let mut keys = mgr.persisted_keys.lock();

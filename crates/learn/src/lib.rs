@@ -25,7 +25,7 @@ pub use forest::{ForestConfig, RandomForest};
 pub use knn::{Knn, KnnBackend, KnnMetric};
 pub use linear::SoftmaxRegression;
 pub use metrics::{accuracy, confusion_matrix, macro_f1, ClassMetrics};
-pub use state::{ClassifierState, ForestState, KnnState, NodeState, SoftmaxState, TreeState};
+pub use state::{ClassifierState, ForestState, KnnState, SoftmaxState, TreeState};
 pub use tree::{DecisionTree, SplitStrategy, TreeConfig};
 
 use querc_linalg::Pcg32;

@@ -22,33 +22,38 @@ use crate::tree::DecisionTree;
 use crate::LearnError;
 use serde::{json, Deserialize, Serialize};
 
-/// One arena node of a [`DecisionTree`], flattened for the derive shim
-/// (which has no data-carrying enum support): `leaf` selects which of
-/// the field groups is meaningful.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeState {
-    /// Leaf node? (`counts` valid) — otherwise a split (`feature`,
-    /// `threshold`, `left`, `right` valid).
-    pub leaf: bool,
-    /// Leaf: per-class sample counts.
-    pub counts: Vec<u32>,
-    /// Split: feature column compared at this node.
-    pub feature: usize,
-    /// Split: go left iff `x[feature] <= threshold`.
-    pub threshold: f32,
-    /// Split: arena index of the left child.
-    pub left: usize,
-    /// Split: arena index of the right child.
-    pub right: usize,
-}
-
-/// Snapshot of a [`DecisionTree`].
+/// Snapshot of a [`DecisionTree`], one **column** per node field instead
+/// of one object per node: the four split columns hold an entry per
+/// arena node, root first. A node is a leaf iff its `left` entry is `0`
+/// — children always lie strictly after their parent, so `0` is never a
+/// child — and a leaf's other three entries are `0` too. Leaf
+/// histograms are concatenated in node order in `counts`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TreeState {
     /// Number of classes the tree was fitted with.
     pub n_classes: usize,
-    /// The node arena, root first.
-    pub nodes: Vec<NodeState>,
+    /// Split: feature column compared at this node.
+    pub feature: Vec<usize>,
+    /// Split: go left iff `x[feature] <= threshold`.
+    pub threshold: Vec<f32>,
+    /// Split: arena index of the left child; `0` marks a leaf.
+    pub left: Vec<usize>,
+    /// Split: arena index of the right child.
+    pub right: Vec<usize>,
+    /// Per-class sample counts, `n_classes` per leaf, in node order.
+    pub counts: Vec<u32>,
+}
+
+impl TreeState {
+    /// The feature column of every split node, in node order — what an
+    /// owner checks against the width of the vectors it will feed.
+    pub fn split_features(&self) -> impl Iterator<Item = usize> + '_ {
+        self.left
+            .iter()
+            .zip(&self.feature)
+            .filter(|(&left, _)| left != 0)
+            .map(|(_, &feature)| feature)
+    }
 }
 
 /// Snapshot of a [`RandomForest`].
@@ -61,12 +66,7 @@ pub struct ForestState {
 }
 
 /// Snapshot of a [`Knn`] classifier (training set + index layout).
-///
-/// Serde is hand-written (not derived) so the SQ8 fields added after
-/// the first release are **additive**: a pre-SQ8 snapshot simply lacks
-/// them and deserializes with their defaults (`sq8 == false`, empty
-/// codes), whereas the derive shim rejects any missing field.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KnnState {
     /// Neighborhood size.
     pub k: usize,
@@ -93,8 +93,7 @@ pub struct KnnState {
     /// Coarse layer: `lists[c]` = row ids assigned to centroid `c`.
     pub lists: Vec<Vec<u32>>,
     /// `true` = SQ8 quantized backend ([`crate::KnnBackend::Sq8`]):
-    /// `qmin`/`qstep`/`codes` valid. Added after the first snapshot
-    /// release; missing in old JSON ⇒ defaults to `false`.
+    /// `qmin`/`qstep`/`codes` valid.
     pub sq8: bool,
     /// SQ8: exact re-rank breadth (`0` = ADC-only, no f32 rows kept).
     pub rerank: usize,
@@ -104,63 +103,6 @@ pub struct KnnState {
     pub qstep: Vec<f32>,
     /// SQ8: codes in original row order (`y.len() * dim` bytes).
     pub codes: Vec<u8>,
-}
-
-/// Deserialize `name` from `v` if present, else its default — the
-/// additive-field rule [`KnnState`]'s hand-written serde relies on.
-fn field_or_default<T: Deserialize + Default>(
-    v: &json::Value,
-    name: &str,
-) -> Result<T, json::Error> {
-    match v.as_object()?.iter().find(|(key, _)| key == name) {
-        Some((_, f)) => T::deserialize_json(f),
-        None => Ok(T::default()),
-    }
-}
-
-impl Serialize for KnnState {
-    fn serialize_json(&self, out: &mut String) {
-        macro_rules! fields {
-            ($first:ident $(, $f:ident)*) => {{
-                out.push_str(concat!("\"", stringify!($first), "\":"));
-                self.$first.serialize_json(out);
-                $(
-                    out.push_str(concat!(",\"", stringify!($f), "\":"));
-                    self.$f.serialize_json(out);
-                )*
-            }};
-        }
-        out.push('{');
-        fields!(
-            k, cosine, n_classes, y, dim, rows, ivf, nprobe, centroids, lists, sq8, rerank, qmin,
-            qstep, codes
-        );
-        out.push('}');
-    }
-}
-
-impl Deserialize for KnnState {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        Ok(KnnState {
-            // Present in every snapshot generation: required.
-            k: Deserialize::deserialize_json(v.field("k")?)?,
-            cosine: Deserialize::deserialize_json(v.field("cosine")?)?,
-            n_classes: Deserialize::deserialize_json(v.field("n_classes")?)?,
-            y: Deserialize::deserialize_json(v.field("y")?)?,
-            dim: Deserialize::deserialize_json(v.field("dim")?)?,
-            rows: Deserialize::deserialize_json(v.field("rows")?)?,
-            ivf: Deserialize::deserialize_json(v.field("ivf")?)?,
-            nprobe: Deserialize::deserialize_json(v.field("nprobe")?)?,
-            centroids: Deserialize::deserialize_json(v.field("centroids")?)?,
-            lists: Deserialize::deserialize_json(v.field("lists")?)?,
-            // Additive (SQ8 generation): default when absent.
-            sq8: field_or_default(v, "sq8")?,
-            rerank: field_or_default(v, "rerank")?,
-            qmin: field_or_default(v, "qmin")?,
-            qstep: field_or_default(v, "qstep")?,
-            codes: field_or_default(v, "codes")?,
-        })
-    }
 }
 
 /// Snapshot of a [`SoftmaxRegression`].
@@ -357,28 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_sq8_knn_json_still_deserializes() {
-        // A snapshot written before the SQ8 fields existed: no `sq8`,
-        // `rerank`, `qmin`, `qstep`, or `codes` keys anywhere. The
-        // additive-field rule must fill their defaults instead of
-        // failing on a missing field.
-        let old = r#"{"kind":"knn","state":{"k":1,"cosine":false,"n_classes":2,
-            "y":[0,1],"dim":2,"rows":[0.0,0.0,3.0,4.0],"ivf":false,"nprobe":0,
-            "centroids":[],"lists":[]}}"#;
-        let v = json::parse(old).expect("old snapshot parses");
-        let state = ClassifierState::deserialize_json(&v).expect("old snapshot deserializes");
-        let ClassifierState::Knn(ref k) = state else {
-            panic!("expected knn state");
-        };
-        assert!(!k.sq8);
-        assert_eq!(k.rerank, 0);
-        assert!(k.qmin.is_empty() && k.qstep.is_empty() && k.codes.is_empty());
-        let clf = state.into_classifier().expect("old snapshot restores");
-        assert_eq!(clf.predict(&[3.1, 3.9]), 1);
-        assert_eq!(clf.predict(&[0.2, -0.1]), 0);
-    }
-
-    #[test]
     fn sq8_knn_state_round_trips_codes_and_quantizer_exactly() {
         let (x, y) = blobs(11, 30);
         let mut knn = Knn::new(3, KnnMetric::Euclidean).with_backend(KnnBackend::Sq8 {
@@ -422,39 +342,52 @@ mod tests {
         assert_eq!(state.kind(), "forest");
     }
 
+    /// A one-split, two-leaf tree over two classes.
+    fn stump() -> TreeState {
+        TreeState {
+            n_classes: 2,
+            feature: vec![1, 0, 0],
+            threshold: vec![0.5, 0.0, 0.0],
+            left: vec![1, 0, 0],
+            right: vec![2, 0, 0],
+            counts: vec![3, 0, 0, 4],
+        }
+    }
+
     #[test]
-    fn corrupt_tree_indices_are_rejected_not_looping() {
+    fn columnar_tree_state_round_trips_and_lists_its_split_features() {
+        let tree = DecisionTree::from_state(stump()).unwrap();
+        assert_eq!(tree.predict(&[9.0, 0.1]), 0);
+        assert_eq!(tree.predict(&[9.0, 0.9]), 1);
+        assert_eq!(tree.to_state(), stump());
+        assert_eq!(stump().split_features().collect::<Vec<_>>(), [1]);
+    }
+
+    #[test]
+    fn corrupt_tree_columns_are_rejected_not_looping_or_indexing() {
+        let bad = |edit: fn(&mut TreeState)| {
+            let mut state = stump();
+            edit(&mut state);
+            matches!(
+                DecisionTree::from_state(state),
+                Err(LearnError::BadState { .. })
+            )
+        };
         // A self-referential split would make `proba` loop forever.
-        let evil = TreeState {
-            n_classes: 2,
-            nodes: vec![NodeState {
-                leaf: false,
-                counts: Vec::new(),
-                feature: 0,
-                threshold: 0.5,
-                left: 0, // cycle!
-                right: 0,
-            }],
-        };
-        assert!(matches!(
-            DecisionTree::from_state(evil),
-            Err(LearnError::BadState { .. })
-        ));
-        let oob = TreeState {
-            n_classes: 2,
-            nodes: vec![NodeState {
-                leaf: false,
-                counts: Vec::new(),
-                feature: 0,
-                threshold: 0.5,
-                left: 7, // out of the arena
-                right: 8,
-            }],
-        };
-        assert!(matches!(
-            DecisionTree::from_state(oob),
-            Err(LearnError::BadState { .. })
-        ));
+        assert!(bad(|s| s.right[0] = 0));
+        assert!(bad(|s| s.left[1] = 1));
+        // Children outside the arena.
+        assert!(bad(|s| s.right[0] = 7));
+        // Columns of different lengths would index out of bounds.
+        assert!(bad(|s| s.threshold.truncate(2)));
+        assert!(bad(|s| s.feature.push(0)));
+        assert!(bad(|s| {
+            s.right.pop();
+        }));
+        // Leaf histograms that do not tile `counts` exactly.
+        assert!(bad(|s| s.counts.push(1)));
+        assert!(bad(|s| s.counts.truncate(3)));
+        assert!(bad(|s| s.n_classes = 3));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! CART-style decision trees with exact or randomized (extra-trees) splits.
 
-use crate::state::{bad_state, ClassifierState, NodeState, TreeState};
+use crate::state::{bad_state, ClassifierState, TreeState};
 use crate::{Classifier, LearnError};
 use querc_linalg::Pcg32;
 
@@ -109,78 +109,87 @@ impl DecisionTree {
         }
     }
 
-    /// Snapshot the fitted arena as a [`TreeState`].
+    /// Snapshot the fitted arena as a columnar [`TreeState`].
     pub fn to_state(&self) -> TreeState {
-        TreeState {
+        let n = self.nodes.len();
+        let mut state = TreeState {
             n_classes: self.n_classes,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| match n {
-                    Node::Leaf { counts } => NodeState {
-                        leaf: true,
-                        counts: counts.clone(),
-                        feature: 0,
-                        threshold: 0.0,
-                        left: 0,
-                        right: 0,
-                    },
-                    Node::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    } => NodeState {
-                        leaf: false,
-                        counts: Vec::new(),
-                        feature: *feature,
-                        threshold: *threshold,
-                        left: *left,
-                        right: *right,
-                    },
-                })
-                .collect(),
+            feature: vec![0; n],
+            threshold: vec![0.0; n],
+            left: vec![0; n],
+            right: vec![0; n],
+            counts: Vec::new(),
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node {
+                Node::Leaf { counts } => state.counts.extend_from_slice(counts),
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    state.feature[i] = *feature;
+                    state.threshold[i] = *threshold;
+                    state.left[i] = *left;
+                    state.right[i] = *right;
+                }
+            }
         }
+        state
     }
 
     /// Rebuild an inference-ready tree from a snapshot, validating the
     /// arena so traversal can neither index out of bounds nor loop:
-    /// every split's children must point strictly forward (the invariant
-    /// `build` produces) and leaf histograms must match `n_classes`.
-    /// Restored trees carry a default [`TreeConfig`] (only `fit` reads
-    /// it).
+    /// the columns must agree in length, every split's children must
+    /// point strictly forward (the invariant `build` produces) and the
+    /// leaf histograms must be exactly `n_classes` wide each. Restored
+    /// trees carry a default [`TreeConfig`] (only `fit` reads it).
     pub fn from_state(state: TreeState) -> Result<DecisionTree, LearnError> {
-        let n = state.nodes.len();
-        let nodes = state
-            .nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, ns)| {
-                if ns.leaf {
-                    if ns.counts.len() != state.n_classes {
-                        return Err(bad_state(format!(
-                            "leaf {i}: {} class counts for {} classes",
-                            ns.counts.len(),
-                            state.n_classes
-                        )));
-                    }
-                    Ok(Node::Leaf { counts: ns.counts })
-                } else {
-                    // Children strictly after the parent ⇒ acyclic and
-                    // in-bounds, so `proba`'s loop always terminates.
-                    if ns.left <= i || ns.right <= i || ns.left >= n || ns.right >= n {
-                        return Err(bad_state(format!(
-                            "split {i}: children ({}, {}) outside the forward arena of {n}",
-                            ns.left, ns.right
-                        )));
-                    }
-                    Ok(Node::Split {
-                        feature: ns.feature,
-                        threshold: ns.threshold,
-                        left: ns.left,
-                        right: ns.right,
-                    })
+        let n = state.left.len();
+        if [
+            state.feature.len(),
+            state.threshold.len(),
+            state.right.len(),
+        ] != [n; 3]
+        {
+            return Err(bad_state(format!(
+                "tree columns disagree: {} features, {} thresholds, {n} left and {} right children",
+                state.feature.len(),
+                state.threshold.len(),
+                state.right.len()
+            )));
+        }
+        let leaves = state.left.iter().filter(|&&left| left == 0).count();
+        if leaves.checked_mul(state.n_classes) != Some(state.counts.len()) {
+            return Err(bad_state(format!(
+                "{leaves} leaves of {} classes need {} counts, found {}",
+                state.n_classes,
+                leaves.saturating_mul(state.n_classes),
+                state.counts.len()
+            )));
+        }
+        let mut histograms = state.counts.chunks_exact(state.n_classes.max(1));
+        let nodes = (0..n)
+            .map(|i| {
+                let (left, right) = (state.left[i], state.right[i]);
+                if left == 0 {
+                    let counts = histograms.next().map_or_else(Vec::new, <[u32]>::to_vec);
+                    return Ok(Node::Leaf { counts });
                 }
+                // Children strictly after the parent ⇒ acyclic and
+                // in-bounds, so `proba`'s loop always terminates.
+                if left <= i || right <= i || left >= n || right >= n {
+                    return Err(bad_state(format!(
+                        "split {i}: children ({left}, {right}) outside the forward arena of {n}"
+                    )));
+                }
+                Ok(Node::Split {
+                    feature: state.feature[i],
+                    threshold: state.threshold[i],
+                    left,
+                    right,
+                })
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(DecisionTree {

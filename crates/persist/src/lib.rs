@@ -2,21 +2,32 @@
 //! format for persisting the whole querc serving stack.
 //!
 //! A snapshot is a sequence of named **sections**. Each section's
-//! payload is opaque to this crate (the serving layers put JSON from the
-//! serde shims there), but its integrity is not: every section carries a
-//! CRC-32 over its name and payload, and the file ends with a footer
-//! whose CRC covers every section header — so truncation, bit flips,
-//! splices, and reorderings are all detected up front, before a single
-//! payload byte is interpreted.
+//! payload is opaque to this crate (the serving layers put small JSON
+//! headers, raw model text and little-endian binary records there), but
+//! its integrity is not: every section carries a CRC-32 over its name
+//! and payload, and the file ends with a footer whose CRC covers every
+//! section header — so truncation, bit flips, splices, and reorderings
+//! are all detected up front, before a single payload byte is
+//! interpreted.
 //!
 //! ```text
-//! QUERCSNAP v1\n                          magic + format version
+//! QUERCSNAP v2\n                          magic + format version
 //! SECTION <name> <len> <crc32hex>\n       per-section header
 //! <len payload bytes>\n                   payload (opaque)
 //! ...more sections...
 //! END <count> <crc32hex>\n                footer: section count +
 //!                                         CRC over all header lines
 //! ```
+//!
+//! The framing is v1's; the version names the **section schema** the
+//! serving layer writes (see ARCHITECTURE.md), which v2 replaced
+//! wholesale. A file of any other version is rejected by name, not read.
+//!
+//! **Every byte once.** [`Snapshot::write_to`] streams through a
+//! buffered writer: a payload is CRC'd in place (slicing-by-8), its
+//! header line goes out, then the payload itself — no whole-file copy.
+//! [`SnapshotReader`] keeps the one file buffer and hands out ranges of
+//! it.
 //!
 //! **Append semantics.** [`append_to`] validates the whole existing
 //! file, truncates the footer, writes new sections, and writes a fresh
@@ -33,17 +44,21 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
-use std::path::Path;
+use std::io::{self, BufWriter, Seek as _, Write};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 /// File magic + format version, first line of every snapshot.
-pub const MAGIC: &str = "QUERCSNAP v1";
+pub const MAGIC: &str = "QUERCSNAP v2";
+
+/// What every version's magic line starts with.
+const MAGIC_PREFIX: &str = "QUERCSNAP ";
 
 /// Errors surfaced by snapshot reading/writing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistError {
-    /// The snapshot bytes fail validation: bad magic, a CRC mismatch,
-    /// truncation, or a malformed header.
+    /// The snapshot bytes fail validation: bad magic, an unsupported
+    /// version, a CRC mismatch, truncation, or a malformed header.
     Corrupt {
         /// What failed and where.
         detail: String,
@@ -66,8 +81,8 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> PersistError {
+impl From<io::Error> for PersistError {
+    fn from(e: io::Error) -> PersistError {
         PersistError::Io {
             detail: e.to_string(),
         }
@@ -83,11 +98,13 @@ fn corrupt(detail: impl Into<String>) -> PersistError {
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, PersistError>;
 
-// Byte-driven CRC-32 table (256 entries), built in const context so the
-// shim-free crate stays dependency-light. One lookup per byte — restore
-// validates every payload byte, so this sits on the snapshot-open path.
-const CRC_TABLE: [u32; 256] = {
-    let mut t = [0u32; 256];
+// Slicing-by-8 CRC-32 tables, built in const context so the crate stays
+// dependency-free. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+// which lets the hot loop fold eight input bytes per iteration. Both
+// checkpoint and restore pass every payload byte through this.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -100,16 +117,40 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        t[i] = c;
+        t[0][i] = c;
         i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
     }
     t
 };
 
 /// Fold `bytes` into a running (pre-inverted) CRC state.
 fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -121,25 +162,42 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// CRC of one section: over the name bytes, a NUL separator, and the
 /// payload — so a payload swapped between two sections is detected even
-/// when the payloads' own CRCs are individually intact. Streamed
-/// through [`crc32_update`]: no concatenation buffer, which matters
-/// when the payload is a multi-MB warm cache section.
+/// when the payloads' own CRCs are individually intact.
 fn section_crc(name: &str, payload: &[u8]) -> u32 {
     let mut c = crc32_update(!0u32, name.as_bytes());
     c = crc32_update(c, &[0]);
     !crc32_update(c, payload)
 }
 
-fn header_line(name: &str, payload: &[u8]) -> String {
-    format!(
-        "SECTION {name} {} {:08x}\n",
-        payload.len(),
-        section_crc(name, payload)
-    )
+fn assert_section_name(name: &str) {
+    assert!(
+        !name.is_empty() && !name.contains(char::is_whitespace),
+        "section name must be non-empty and whitespace-free: {name:?}"
+    );
 }
 
-fn footer_line(headers: &str, count: usize) -> String {
-    format!("END {count} {:08x}\n", crc32(headers.as_bytes()))
+/// Write `sections` — header line, payload, terminator each — then the
+/// footer. `headers_crc` is the running (pre-inverted) CRC over the
+/// header lines already in the file and `count` how many there are, so
+/// an append continues the footer chain where the reader left it.
+fn write_sections<W: Write>(
+    w: &mut W,
+    sections: &[(String, Vec<u8>)],
+    mut headers_crc: u32,
+    count: usize,
+) -> io::Result<()> {
+    for (name, payload) in sections {
+        let header = format!(
+            "SECTION {name} {} {:08x}\n",
+            payload.len(),
+            section_crc(name, payload)
+        );
+        headers_crc = crc32_update(headers_crc, header.as_bytes());
+        w.write_all(header.as_bytes())?;
+        w.write_all(payload)?;
+        w.write_all(b"\n")?;
+    }
+    writeln!(w, "END {} {:08x}", count + sections.len(), !headers_crc)
 }
 
 /// Strict canonical decimal: ASCII digits only, no sign, no leading zero
@@ -171,6 +229,24 @@ fn parse_hex8(s: &str) -> Option<u32> {
     }
 }
 
+/// `<path>.tmp-snap`: the suffix goes on the **full** file name, so
+/// `stack.snap` and `stack.bak` in one directory never share a
+/// temporary.
+fn tmp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp-snap");
+    PathBuf::from(name)
+}
+
+/// fsync the directory holding `path`, making a rename into it durable.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    fs::File::open(parent)?.sync_all()
+}
+
 /// A snapshot under construction: named sections in insertion order.
 #[derive(Debug, Default)]
 pub struct Snapshot {
@@ -185,16 +261,14 @@ impl Snapshot {
 
     /// Append a section. Names may repeat (delta sections); section
     /// names must be non-empty and contain no whitespace or newlines
-    /// (they live on a space-delimited header line).
+    /// (they live on a space-delimited header line). A `Vec<u8>` or
+    /// `String` payload is moved in, not copied.
     ///
     /// # Panics
     /// If `name` is empty or contains whitespace — a writer-side
     /// programming error, not a runtime condition.
     pub fn add_section(&mut self, name: &str, payload: impl Into<Vec<u8>>) -> &mut Self {
-        assert!(
-            !name.is_empty() && !name.contains(char::is_whitespace),
-            "section name must be non-empty and whitespace-free: {name:?}"
-        );
+        assert_section_name(name);
         self.sections.push((name.to_string(), payload.into()));
         self
     }
@@ -209,80 +283,82 @@ impl Snapshot {
         self.sections.is_empty()
     }
 
-    /// Serialize the whole snapshot to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut headers = String::new();
-        out.extend_from_slice(MAGIC.as_bytes());
-        out.push(b'\n');
-        for (name, payload) in &self.sections {
-            let h = header_line(name, payload);
-            headers.push_str(&h);
-            out.extend_from_slice(h.as_bytes());
-            out.extend_from_slice(payload);
-            out.push(b'\n');
-        }
-        out.extend_from_slice(footer_line(&headers, self.sections.len()).as_bytes());
-        out
+    /// Stream the whole snapshot into `w`: each payload is CRC'd where
+    /// it lies and written once.
+    pub fn encode<W: Write>(&self, w: &mut W) -> Result<()> {
+        writeln!(w, "{MAGIC}")?;
+        write_sections(w, &self.sections, !0u32, 0)?;
+        Ok(())
     }
 
     /// Write the snapshot to `path`, replacing any existing file. The
-    /// write goes through a temporary sibling + rename, so a crash
-    /// mid-write never leaves a half-written snapshot at `path`.
+    /// write goes through a temporary sibling, an fsync, a rename and an
+    /// fsync of the directory, so a crash mid-write never leaves a
+    /// half-written snapshot at `path` and a completed one survives a
+    /// power cut.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<()> {
         let path = path.as_ref();
-        let tmp = path.with_extension("tmp-snap");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
+        let tmp = tmp_sibling(path);
+        let mut w = BufWriter::new(fs::File::create(&tmp)?);
+        self.encode(&mut w)?;
+        let f = w.into_inner().map_err(|e| e.into_error())?;
+        f.sync_all()?;
+        drop(f);
         fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
         Ok(())
     }
 }
 
-/// One parsed, validated section.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One validated section: its name and where its payload lies in the
+/// reader's buffer.
+#[derive(Debug)]
 struct Section {
     name: String,
-    payload: Vec<u8>,
+    payload: Range<usize>,
 }
 
 /// A fully-validated snapshot: every CRC checked before any accessor
-/// returns a byte.
+/// returns a byte. Owns the file's bytes; accessors borrow from them.
 #[derive(Debug)]
 pub struct SnapshotReader {
+    bytes: Vec<u8>,
     sections: Vec<Section>,
     /// Byte offset where the footer line starts — where [`append_to`]
     /// resumes writing.
     footer_offset: usize,
-    /// Reconstructed header lines (the footer CRC input).
-    headers: String,
+    /// Running (pre-inverted) CRC over every header line: the footer
+    /// chain an append continues.
+    headers_crc: u32,
 }
 
 impl SnapshotReader {
     /// Read and validate a snapshot file.
     pub fn open(path: impl AsRef<Path>) -> Result<SnapshotReader> {
-        SnapshotReader::from_bytes(&fs::read(path.as_ref())?)
+        SnapshotReader::from_bytes(fs::read(path.as_ref())?)
     }
 
-    /// Validate a snapshot held in memory.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotReader> {
+    /// Validate a snapshot held in memory. A `Vec<u8>` is taken over as
+    /// the reader's buffer; a slice is copied once.
+    pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<SnapshotReader> {
+        let bytes = bytes.into();
         let mut pos = 0usize;
-        let magic = read_line(bytes, &mut pos).ok_or_else(|| corrupt("missing magic line"))?;
+        let magic = read_line(&bytes, &mut pos).ok_or_else(|| corrupt("missing magic line"))?;
         if magic != MAGIC.as_bytes() {
-            return Err(corrupt(format!(
-                "bad magic: expected {MAGIC:?}, got {:?}",
-                String::from_utf8_lossy(&magic[..magic.len().min(24)])
-            )));
+            let got = String::from_utf8_lossy(&magic[..magic.len().min(24)]);
+            return Err(corrupt(match got.strip_prefix(MAGIC_PREFIX) {
+                Some(version) => format!(
+                    "unsupported snapshot version {version:?}: this build reads {MAGIC:?} only"
+                ),
+                None => format!("bad magic: expected {MAGIC:?}, got {got:?}"),
+            }));
         }
         let mut sections = Vec::new();
-        let mut headers = String::new();
+        let mut headers_crc = !0u32;
         loop {
             let line_start = pos;
             let line =
-                read_line(bytes, &mut pos).ok_or_else(|| corrupt("truncated: missing footer"))?;
+                read_line(&bytes, &mut pos).ok_or_else(|| corrupt("truncated: missing footer"))?;
             let line = std::str::from_utf8(line).map_err(|_| corrupt("non-utf8 header line"))?;
             if let Some(rest) = line.strip_prefix("SECTION ") {
                 let mut parts = rest.split(' ');
@@ -299,20 +375,19 @@ impl SnapshotReader {
                         "truncated: section {name:?} claims {len} bytes past end of file"
                     )));
                 };
-                let payload = &bytes[pos..end];
                 if bytes[end] != b'\n' {
                     return Err(corrupt(format!(
                         "section {name:?}: missing payload terminator"
                     )));
                 }
-                if section_crc(name, payload) != crc {
+                if section_crc(name, &bytes[pos..end]) != crc {
                     return Err(corrupt(format!("section {name:?}: CRC mismatch")));
                 }
-                headers.push_str(line);
-                headers.push('\n');
+                // The header line as written, newline included.
+                headers_crc = crc32_update(headers_crc, &bytes[line_start..pos]);
                 sections.push(Section {
                     name: name.to_string(),
-                    payload: payload.to_vec(),
+                    payload: pos..end,
                 });
                 pos = end + 1;
             } else if let Some(rest) = line.strip_prefix("END ") {
@@ -328,16 +403,17 @@ impl SnapshotReader {
                         sections.len()
                     )));
                 }
-                if crc32(headers.as_bytes()) != crc {
+                if !headers_crc != crc {
                     return Err(corrupt("footer CRC mismatch (headers tampered)"));
                 }
                 if pos != bytes.len() {
                     return Err(corrupt("trailing bytes after footer"));
                 }
                 return Ok(SnapshotReader {
+                    bytes,
                     sections,
                     footer_offset: line_start,
-                    headers,
+                    headers_crc,
                 });
             } else {
                 return Err(corrupt(format!(
@@ -348,6 +424,10 @@ impl SnapshotReader {
         }
     }
 
+    fn payload(&self, s: &Section) -> &[u8] {
+        &self.bytes[s.payload.clone()]
+    }
+
     /// Payload of the **last** section named `name` — the newest full
     /// state when a name was re-snapshotted by an append.
     pub fn section(&self, name: &str) -> Option<&[u8]> {
@@ -355,7 +435,7 @@ impl SnapshotReader {
             .iter()
             .rev()
             .find(|s| s.name == name)
-            .map(|s| s.payload.as_slice())
+            .map(|s| self.payload(s))
     }
 
     /// Payloads of **every** section named `name`, in file order — how
@@ -364,7 +444,7 @@ impl SnapshotReader {
         self.sections
             .iter()
             .filter(|s| s.name == name)
-            .map(|s| s.payload.as_slice())
+            .map(|s| self.payload(s))
             .collect()
     }
 
@@ -390,29 +470,16 @@ impl SnapshotReader {
 /// is written. Existing payload bytes are never rewritten.
 pub fn append_to(path: impl AsRef<Path>, sections: &[(String, Vec<u8>)]) -> Result<()> {
     let path = path.as_ref();
-    let bytes = fs::read(path)?;
-    let reader = SnapshotReader::from_bytes(&bytes)?;
-    let mut headers = reader.headers.clone();
-    let mut tail = Vec::new();
-    for (name, payload) in sections {
-        assert!(
-            !name.is_empty() && !name.contains(char::is_whitespace),
-            "section name must be non-empty and whitespace-free: {name:?}"
-        );
-        let h = header_line(name, payload);
-        headers.push_str(&h);
-        tail.extend_from_slice(h.as_bytes());
-        tail.extend_from_slice(payload);
-        tail.push(b'\n');
-    }
-    tail.extend_from_slice(footer_line(&headers, reader.len() + sections.len()).as_bytes());
-    let f = fs::OpenOptions::new().write(true).open(path)?;
+    let reader = SnapshotReader::open(path)?;
+    sections
+        .iter()
+        .for_each(|(name, _)| assert_section_name(name));
+    let mut f = fs::OpenOptions::new().write(true).open(path)?;
     f.set_len(reader.footer_offset as u64)?;
-    let mut f = f;
-    use std::io::Seek as _;
-    f.seek(std::io::SeekFrom::End(0))?;
-    f.write_all(&tail)?;
-    f.sync_all()?;
+    f.seek(io::SeekFrom::End(0))?;
+    let mut w = BufWriter::new(f);
+    write_sections(&mut w, sections, reader.headers_crc, reader.len())?;
+    w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     Ok(())
 }
 
@@ -430,6 +497,12 @@ fn read_line<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
 mod tests {
     use super::*;
 
+    fn to_bytes(s: &Snapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.encode(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
@@ -438,12 +511,33 @@ mod tests {
     }
 
     #[test]
+    fn sliced_crc_equals_the_bytewise_reference_at_every_length_and_split() {
+        fn bytewise(mut c: u32, bytes: &[u8]) -> u32 {
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c
+        }
+        let data: Vec<u8> = (0..257u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        for len in 0..data.len() {
+            let want = bytewise(!0, &data[..len]);
+            assert_eq!(crc32_update(!0, &data[..len]), want, "len {len}");
+            // A running state carried across an arbitrary split agrees too.
+            let split = len / 3;
+            let carried = crc32_update(crc32_update(!0, &data[..split]), &data[split..len]);
+            assert_eq!(carried, want, "len {len} split {split}");
+        }
+    }
+
+    #[test]
     fn roundtrip_in_memory() {
         let mut s = Snapshot::new();
         s.add_section("manifest", br#"{"v":1}"#.to_vec());
         s.add_section("app:audit", b"payload with\nnewlines\x00and nul".to_vec());
-        let bytes = s.to_bytes();
-        let r = SnapshotReader::from_bytes(&bytes).unwrap();
+        let bytes = to_bytes(&s);
+        let r = SnapshotReader::from_bytes(bytes).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.section("manifest"), Some(&br#"{"v":1}"#[..]));
         assert_eq!(
@@ -479,7 +573,7 @@ mod tests {
     fn truncation_is_detected() {
         let mut s = Snapshot::new();
         s.add_section("a", vec![7u8; 100]);
-        let bytes = s.to_bytes();
+        let bytes = to_bytes(&s);
         for cut in [0, 1, 10, bytes.len() / 2, bytes.len() - 1] {
             let err = SnapshotReader::from_bytes(&bytes[..cut]).unwrap_err();
             assert!(matches!(err, PersistError::Corrupt { .. }), "cut at {cut}");
@@ -491,12 +585,12 @@ mod tests {
         let mut s = Snapshot::new();
         s.add_section("a", b"hello world".to_vec());
         s.add_section("b", b"goodbye".to_vec());
-        let bytes = s.to_bytes();
+        let bytes = to_bytes(&s);
         for i in 0..bytes.len() {
             let mut evil = bytes.clone();
             evil[i] ^= 0x40;
             assert!(
-                SnapshotReader::from_bytes(&evil).is_err(),
+                SnapshotReader::from_bytes(evil).is_err(),
                 "flip at byte {i} went undetected"
             );
         }
@@ -509,7 +603,7 @@ mod tests {
         let mut s = Snapshot::new();
         s.add_section("a", b"AAAA".to_vec());
         s.add_section("b", b"BBBB".to_vec());
-        let bytes = s.to_bytes();
+        let bytes = to_bytes(&s);
         let a_at = bytes.windows(4).position(|w| w == b"AAAA").unwrap();
         let b_at = bytes.windows(4).position(|w| w == b"BBBB").unwrap();
         let mut evil = bytes.clone();
@@ -517,7 +611,7 @@ mod tests {
             evil.swap(a_at + i, b_at + i);
         }
         assert!(matches!(
-            SnapshotReader::from_bytes(&evil),
+            SnapshotReader::from_bytes(evil),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -527,10 +621,7 @@ mod tests {
         let mut s = Snapshot::new();
         s.add_section("a", b"xx".to_vec());
         s.add_section("b", b"yy".to_vec());
-        let whole = s.to_bytes();
-        let mut one = Snapshot::new();
-        one.add_section("a", b"xx".to_vec());
-        let _ = one;
+        let whole = to_bytes(&s);
         // Splice: magic + first section of `whole` + footer of `whole`.
         let footer_at = whole.windows(4).rposition(|w| w == b"END ").unwrap();
         let second_at = whole
@@ -540,7 +631,7 @@ mod tests {
         let mut evil = whole[..second_at].to_vec();
         evil.extend_from_slice(&whole[footer_at..]);
         assert!(matches!(
-            SnapshotReader::from_bytes(&evil),
+            SnapshotReader::from_bytes(evil),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -548,7 +639,7 @@ mod tests {
     #[test]
     fn empty_snapshot_roundtrips() {
         let s = Snapshot::new();
-        let r = SnapshotReader::from_bytes(&s.to_bytes()).unwrap();
+        let r = SnapshotReader::from_bytes(to_bytes(&s)).unwrap();
         assert!(r.is_empty());
     }
 
@@ -557,10 +648,10 @@ mod tests {
         for garbage in [
             &b""[..],
             b"\n",
-            b"QUERCSNAP v2\nEND 0 00000000\n",
-            b"QUERCSNAP v1\nSECTION",
-            b"QUERCSNAP v1\nSECTION a 99999999999999999999 0\nEND 0 0\n",
-            b"QUERCSNAP v1\nSECTION a 4 zzzzzzzz\nxxxx\nEND 1 0\n",
+            b"QUERCSNAP v3\nEND 0 00000000\n",
+            b"QUERCSNAP v2\nSECTION",
+            b"QUERCSNAP v2\nSECTION a 99999999999999999999 0\nEND 0 0\n",
+            b"QUERCSNAP v2\nSECTION a 4 zzzzzzzz\nxxxx\nEND 1 0\n",
             b"\xff\xfe\x00\x01",
         ] {
             assert!(SnapshotReader::from_bytes(garbage).is_err());
@@ -568,13 +659,76 @@ mod tests {
     }
 
     #[test]
+    fn other_versions_are_rejected_by_name_not_read() {
+        // A well-formed v1 file: same framing, older section schema.
+        let v1 = to_bytes(Snapshot::new().add_section("a", b"x".to_vec()))
+            .strip_prefix(MAGIC.as_bytes())
+            .map(|rest| [&b"QUERCSNAP v1"[..], rest].concat())
+            .unwrap();
+        match SnapshotReader::from_bytes(v1) {
+            Err(PersistError::Corrupt { detail }) => {
+                assert!(
+                    detail.contains("\"v1\"") && detail.contains(MAGIC),
+                    "{detail}"
+                )
+            }
+            other => panic!("v1 must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn siblings_with_one_stem_do_not_share_a_temporary() {
+        assert_ne!(
+            tmp_sibling(Path::new("d/stack.snap")),
+            tmp_sibling(Path::new("d/stack.bak"))
+        );
+        let dir =
+            std::env::temp_dir().join(format!("querc-persist-siblings-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap, bak) = (dir.join("stack.snap"), dir.join("stack.bak"));
+        // A stale temporary of the sibling must survive our write.
+        std::fs::write(tmp_sibling(&bak), b"the sibling's half-written file").unwrap();
+        Snapshot::new()
+            .add_section("who", b"snap".to_vec())
+            .write_to(&snap)
+            .unwrap();
+        assert_eq!(
+            std::fs::read(tmp_sibling(&bak)).unwrap(),
+            b"the sibling's half-written file"
+        );
+        Snapshot::new()
+            .add_section("who", b"bak".to_vec())
+            .write_to(&bak)
+            .unwrap();
+        assert_eq!(
+            SnapshotReader::open(&snap).unwrap().section("who"),
+            Some(&b"snap"[..])
+        );
+        assert_eq!(
+            SnapshotReader::open(&bak).unwrap().section("who"),
+            Some(&b"bak"[..])
+        );
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["stack.bak", "stack.snap"],
+            "no temporary left behind"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn trailing_bytes_after_footer_rejected() {
         let mut s = Snapshot::new();
         s.add_section("a", b"x".to_vec());
-        let mut bytes = s.to_bytes();
+        let mut bytes = to_bytes(&s);
         bytes.extend_from_slice(b"SECTION sneaky 1 00000000\nz\n");
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes),
+            SnapshotReader::from_bytes(bytes),
             Err(PersistError::Corrupt { .. })
         ));
     }

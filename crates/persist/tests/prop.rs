@@ -1,17 +1,42 @@
-//! Property tests: the snapshot reader is total — every corruption of a
-//! valid snapshot surfaces `PersistError::Corrupt`, never a panic, and
-//! every uncorrupted snapshot round-trips its sections bit-exactly.
+//! Property tests: the v2 snapshot reader is total — every corruption of
+//! a valid snapshot surfaces `PersistError::Corrupt`, never a panic, and
+//! every uncorrupted snapshot round-trips its sections bit-exactly,
+//! whether it was written in one stream or grown by appends.
 
 use proptest::prelude::*;
-use querc_persist::{PersistError, Snapshot, SnapshotReader};
+use querc_persist::{append_to, PersistError, Snapshot, SnapshotReader, MAGIC};
 
 /// Build a snapshot from generated `(name-suffix, payload)` sections.
-fn build(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+fn snapshot(sections: &[(String, Vec<u8>)]) -> Snapshot {
     let mut s = Snapshot::new();
     for (suffix, payload) in sections {
         s.add_section(&format!("sec-{suffix}"), payload.clone());
     }
-    s.to_bytes()
+    s
+}
+
+fn build(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    snapshot(sections)
+        .encode(&mut out)
+        .expect("a Vec never fails a write");
+    out
+}
+
+/// Byte ranges of each whole section (header line through payload
+/// terminator), found by walking the framing the way the reader does.
+fn section_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let line_end = |from: usize| from + bytes[from..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut pos = line_end(0);
+    let mut spans = Vec::new();
+    while bytes[pos..].starts_with(b"SECTION ") {
+        let payload_at = line_end(pos);
+        let header = std::str::from_utf8(&bytes[pos..payload_at - 1]).unwrap();
+        let len: usize = header.split(' ').nth(2).unwrap().parse().unwrap();
+        spans.push(pos..payload_at + len + 1);
+        pos = payload_at + len + 1;
+    }
+    spans
 }
 
 proptest! {
@@ -27,7 +52,7 @@ proptest! {
         )
     ) {
         let bytes = build(&sections);
-        let r = SnapshotReader::from_bytes(&bytes).expect("valid snapshot");
+        let r = SnapshotReader::from_bytes(bytes).expect("valid snapshot");
         prop_assert_eq!(r.len(), sections.len());
         for (suffix, payload) in &sections {
             let name = format!("sec-{suffix}");
@@ -78,7 +103,7 @@ proptest! {
         let mut evil = bytes.clone();
         evil[pos] ^= 1u8 << bit;
         prop_assert!(evil != bytes);
-        match SnapshotReader::from_bytes(&evil) {
+        match SnapshotReader::from_bytes(evil) {
             Err(PersistError::Corrupt { .. }) => {}
             Err(other) => prop_assert!(false, "wrong error for bit flip: {other:?}"),
             Ok(_) => prop_assert!(
@@ -94,6 +119,88 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..400)
     ) {
         // Either a (vanishingly unlikely) valid parse or a clean error.
-        let _ = SnapshotReader::from_bytes(&garbage);
+        let _ = SnapshotReader::from_bytes(garbage);
+    }
+
+    /// Splices keep every section's own CRC intact and still fail: a
+    /// whole section dropped, repeated, or swapped with its neighbour
+    /// breaks the footer's count or its chain over the header lines.
+    #[test]
+    fn whole_section_splices_never_pass(
+        sections in prop::collection::vec(
+            ("[a-z]{1,6}", prop::collection::vec(any::<u8>(), 0..120)),
+            2..6,
+        ),
+        pick in any::<u64>(),
+        op in 0u8..3,
+    ) {
+        let bytes = build(&sections);
+        let spans = section_spans(&bytes);
+        prop_assert_eq!(spans.len(), sections.len());
+        let i = (pick % (spans.len() as u64 - 1)) as usize; // i + 1 exists
+        let (a, b) = (spans[i].clone(), spans[i + 1].clone());
+        let evil = match op {
+            0 => [&bytes[..a.start], &bytes[a.end..]].concat(),
+            1 => [&bytes[..a.end], &bytes[a.clone()], &bytes[a.end..]].concat(),
+            _ => [&bytes[..a.start], &bytes[b.clone()], &bytes[a.clone()], &bytes[b.end..]].concat(),
+        };
+        // Swapping two byte-identical sections is no corruption.
+        prop_assume!(evil != bytes);
+        match SnapshotReader::from_bytes(evil) {
+            Err(PersistError::Corrupt { .. }) => {}
+            other => prop_assert!(false, "splice op {op} at section {i} accepted: {other:?}"),
+        }
+    }
+
+    /// The footer chain is a running CRC the reader hands to `append_to`:
+    /// a file grown by appends is byte-identical to one streamed whole.
+    #[test]
+    fn appended_file_equals_the_streamed_file(
+        sections in prop::collection::vec(
+            ("[a-z0-9]{1,8}", prop::collection::vec(any::<u8>(), 0..200)),
+            1..6,
+        ),
+        split_seed in any::<u64>(),
+        case in any::<u64>(),
+    ) {
+        let split = (split_seed % sections.len() as u64) as usize;
+        let path = std::env::temp_dir().join(format!(
+            "querc-persist-prop-{}-{case:016x}.snap",
+            std::process::id()
+        ));
+        snapshot(&sections[..split]).write_to(&path).expect("write base");
+        for (suffix, payload) in &sections[split..] {
+            append_to(&path, &[(format!("sec-{suffix}"), payload.clone())]).expect("append");
+        }
+        let grown = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(grown, build(&sections));
+    }
+
+    /// Any other version on the magic line is refused by name, whatever
+    /// follows it — there is one reader and it reads v2.
+    #[test]
+    fn other_versions_are_named_in_the_error(
+        sections in prop::collection::vec(
+            ("[a-z]{1,6}", prop::collection::vec(any::<u8>(), 0..60)),
+            0..3,
+        ),
+        number in 0u32..1000,
+    ) {
+        prop_assume!(number != 2);
+        let version = format!("v{number}");
+        let bytes = build(&sections);
+        let forged = [
+            format!("QUERCSNAP {version}").as_bytes(),
+            &bytes[MAGIC.len()..],
+        ]
+        .concat();
+        match SnapshotReader::from_bytes(forged) {
+            Err(PersistError::Corrupt { detail }) => prop_assert!(
+                detail.contains(&format!("{version:?}")),
+                "{detail} does not name {version}"
+            ),
+            other => prop_assert!(false, "{version} accepted: {other:?}"),
+        }
     }
 }

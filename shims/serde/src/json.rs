@@ -87,22 +87,32 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Append `s` to `out` as a quoted, escaped JSON string.
+/// Append `s` to `out` as a quoted, escaped JSON string. Unescaped runs
+/// are copied as slices: every byte that needs an escape is ASCII, so a
+/// run boundary is always a char boundary.
 pub fn escape_str(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -230,53 +240,45 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::msg("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::msg("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::msg("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::msg("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error::msg("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::msg("bad utf8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // One unescaped run up to the next quote or backslash,
+            // validated and copied once. Both delimiters are ASCII, so
+            // they never fall inside a multi-byte sequence.
+            let bytes = self.bytes;
+            let rest = &bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::msg("unterminated string"))?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| Error::msg("bad utf8"))?);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| Error::msg("bad \\u escape"))?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| Error::msg("bad \\u escape"))?,
+                        16,
+                    )
+                    .map_err(|_| Error::msg("bad \\u escape"))?;
+                    out.push(char::from_u32(code).ok_or_else(|| Error::msg("bad \\u code point"))?);
+                    self.pos += 4;
+                }
+                _ => return Err(Error::msg("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -321,6 +323,50 @@ mod tests {
         assert!(parse("").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    /// The parser used to re-validate the rest of the document for every
+    /// character of a string (minutes for a multi-MB model payload).
+    #[test]
+    fn multi_megabyte_string_round_trips_in_linear_time() {
+        let unit = "weights \"w\\1\"\n\tπ≈3.14159 · 雪 🦀 \u{1}\r";
+        let big = unit.repeat((2 << 20) / unit.len() + 1);
+        assert!(big.len() >= 2 << 20);
+        let t = std::time::Instant::now();
+        let mut doc = String::from("{\"payload\":");
+        escape_str(&big, &mut doc);
+        doc.push('}');
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.field("payload").unwrap().as_str().unwrap(), big);
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(20),
+            "string round trip took {:?}",
+            t.elapsed()
+        );
+    }
+
+    #[test]
+    fn string_escapes_and_errors() {
+        let mut out = String::new();
+        escape_str("a\u{0}b\u{1f}\"\\/é", &mut out);
+        assert_eq!(out, r#""a\u0000b\u001f\"\\/é""#);
+        assert_eq!(
+            parse(&out).unwrap().as_str().unwrap(),
+            "a\u{0}b\u{1f}\"\\/é"
+        );
+        assert_eq!(
+            parse(r#""\/\b\f\u00e9""#).unwrap().as_str().unwrap(),
+            "/\u{8}\u{c}é"
+        );
+        for bad in [
+            r#""open"#,
+            r#""bad \x""#,
+            r#""\u12"#,
+            r#""\ud800""#,
+            r#""tail\"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

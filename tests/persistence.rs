@@ -16,10 +16,11 @@ use querc::{
     LabeledQuery, ModelRegistry, QuercError, QueryClassifier, TrainedLabeler, WorkloadManager,
     WorkloadManagerConfig,
 };
-use querc_embed::{BagOfTokens, Embedder};
+use querc_embed::{BagOfTokens, Doc2Vec, Doc2VecConfig, Embedder};
 use querc_learn::{ForestConfig, RandomForest};
 use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
+use querc_persist::SnapshotReader;
+use querc_workloads::{QueryRecord, SnowCloud, SnowCloudConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -112,7 +113,14 @@ const APPS: [&str; 6] = [
 /// Register all six apps on ONE shared embedder (the blessed deployment
 /// — one cache namespace, one embed per template for everyone).
 fn register_all(mgr: &mut WorkloadManager, corpus: &TrainCorpus) -> Arc<dyn Embedder> {
-    let shared: Arc<dyn Embedder> = Arc::new(BagOfTokens::new(128, true));
+    register_all_on(mgr, corpus, Arc::new(BagOfTokens::new(128, true)))
+}
+
+fn register_all_on(
+    mgr: &mut WorkloadManager,
+    corpus: &TrainCorpus,
+    shared: Arc<dyn Embedder>,
+) -> Arc<dyn Embedder> {
     mgr.register(AuditApp::new(Arc::clone(&shared)).with_trees(20), corpus)
         .unwrap();
     mgr.register(ErrorsApp::new(Arc::clone(&shared)), corpus)
@@ -591,4 +599,151 @@ fn qos_policies_round_trip_and_pre_qos_snapshots_still_restore() {
         "QoS accounting live on a restored pre-QoS stack"
     );
     let _ = std::fs::remove_file(&old_path);
+}
+
+/// The deployment the paper draws — one learned representation, many
+/// labeling apps — at a size where the v1 layout showed: the model was
+/// written once per app, and its multi-MB escaped copy took the restore
+/// minutes to parse.
+#[test]
+fn six_apps_on_one_doc2vec_ship_it_once_and_restore_in_seconds() {
+    let path = snapshot_path("full_size");
+    let trace = SnowCloud::generate(&SnowCloudConfig::pretrain(8, 160, 0x5ca1e)).records;
+    let (train, held_out) = trace.split_at(1200);
+    let corpus = TrainCorpus::from_records(train.to_vec(), 0x2019);
+    // Full-size weights; fewer passes, so an unoptimized build fits in seconds.
+    let doc2vec_cfg = Doc2VecConfig {
+        epochs: 3,
+        infer_epochs: 3,
+        ..Default::default()
+    };
+    let doc2vec = Doc2Vec::train(&corpus.token_corpus(), doc2vec_cfg);
+
+    let cfg = WorkloadManagerConfig {
+        shards_per_app: 2,
+        batch: 16,
+        ..Default::default()
+    };
+    let mut mgr = WorkloadManager::new(cfg.clone());
+    register_all_on(&mut mgr, &corpus, Arc::new(doc2vec));
+    let probe = |mgr: &WorkloadManager| {
+        for (i, record) in held_out.iter().take(48).enumerate() {
+            let mut lq = LabeledQuery::from_record(record);
+            lq.set("probe", i.to_string());
+            mgr.submit(APPS[i % 6], lq).unwrap();
+        }
+    };
+    mgr.checkpoint(&path).unwrap();
+    probe(&mgr);
+    let before = mgr.drain();
+
+    let reader = SnapshotReader::open(&path).unwrap();
+    let names = reader.section_names();
+    let embedders: Vec<&&str> = names
+        .iter()
+        .filter(|n| n.starts_with("embedder:"))
+        .collect();
+    assert_eq!(embedders.len(), 1, "one section per namespace: {names:?}");
+    let model_bytes = reader.section(embedders[0]).unwrap().len();
+    assert!(
+        model_bytes > 1 << 20,
+        "a non-toy model: {model_bytes} bytes"
+    );
+    for app in APPS {
+        let header = reader.section(&format!("app:{app}")).unwrap();
+        assert!(header.len() < 256, "{app}: the header only names the model");
+        assert!(names.contains(&format!("app:{app}:model").as_str()));
+    }
+    drop(reader);
+
+    let t = std::time::Instant::now();
+    let restored = WorkloadManager::restore(&path, cfg).unwrap();
+    assert!(
+        t.elapsed() < std::time::Duration::from_secs(10),
+        "restore took {:?}",
+        t.elapsed()
+    );
+    assert_eq!(restored.app_names(), APPS);
+    let shared = restored.embedder(APPS[0]).unwrap().expect("audit embeds");
+    for app in APPS {
+        let theirs = restored.embedder(app).unwrap().expect("every app embeds");
+        assert!(
+            Arc::ptr_eq(&shared, &theirs),
+            "{app}: one Arc after restore"
+        );
+    }
+    probe(&restored);
+    let after = restored.drain();
+    for app in APPS {
+        let b = probe_outputs(&before, app);
+        assert_eq!(b.len(), 8, "{app}: 8 probes each");
+        assert_eq!(b, probe_outputs(&after, app), "{app}: bit-identical labels");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The cache sections are raw little-endian records, so every `f32` bit
+/// pattern survives a restore and a second checkpoint (the JSON path
+/// turned ±∞ into NaN and dropped NaN payloads).
+#[test]
+fn non_finite_cache_entries_come_back_bit_identical() {
+    let (first, second) = (snapshot_path("bits_a"), snapshot_path("bits_b"));
+    let corpus = TrainCorpus::from_records(training_records(), 7);
+    let mut mgr = WorkloadManager::new(WorkloadManagerConfig::default());
+    mgr.register(
+        ResourcesApp::new(Arc::new(BagOfTokens::new(64, true))),
+        &corpus,
+    )
+    .unwrap();
+    mgr.checkpoint(&first).unwrap();
+    drop(mgr.drain());
+
+    // One hand-built record — ns u64, fp u64, dim u32, f32 × dim — under
+    // a namespace no embedder serves.
+    let (ns, fp) = (0xfeed_face_dead_beef_u64, 42u64);
+    let odd = [
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7fc0_1234),
+        f32::from_bits(0xffa5_5a5a),
+        -0.0,
+        f32::MIN_POSITIVE / 4.0,
+    ];
+    let mut record = Vec::new();
+    record.extend_from_slice(&ns.to_le_bytes());
+    record.extend_from_slice(&fp.to_le_bytes());
+    record.extend_from_slice(&(odd.len() as u32).to_le_bytes());
+    odd.iter()
+        .for_each(|x| record.extend_from_slice(&x.to_le_bytes()));
+    querc_persist::append_to(&first, &[("embed_cache_delta".to_string(), record.clone())]).unwrap();
+
+    let restored = WorkloadManager::restore(&first, WorkloadManagerConfig::default()).unwrap();
+    assert_eq!(restored.embed_cache_stats().entries, 1);
+    restored.checkpoint(&second).unwrap();
+    drop(restored.drain());
+    let reader = SnapshotReader::open(&second).unwrap();
+    assert_eq!(reader.section("embed_cache"), Some(&record[..]));
+
+    for f in [first, second] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn a_v1_snapshot_is_refused_by_version_not_read() {
+    let path = snapshot_path("v1");
+    let mgr = WorkloadManager::new(WorkloadManagerConfig::default());
+    mgr.checkpoint(&path).unwrap();
+    drop(mgr.drain());
+    let v2 = std::fs::read(&path).unwrap();
+    let body = v2
+        .strip_prefix(b"QUERCSNAP v2")
+        .expect("the one version string");
+    std::fs::write(&path, [b"QUERCSNAP v1", body].concat()).unwrap();
+    match WorkloadManager::restore(&path, WorkloadManagerConfig::default()) {
+        Err(QuercError::Corrupt { detail }) => assert!(detail.contains("\"v1\""), "{detail}"),
+        Err(other) => panic!("want Corrupt naming v1, got {other:?}"),
+        Ok(_) => panic!("a v1 file must not restore"),
+    }
+    let _ = std::fs::remove_file(&path);
 }
