@@ -290,16 +290,17 @@ pub enum KernelPolicy {
 
 impl KernelPolicy {
     /// Apply this policy to the process-wide kernel dispatch and return
-    /// the name of the now-active arm (`"avx2"` / `"scalar"`).
+    /// the name of the now-active arm (`"avx512"` / `"avx2"` /
+    /// `"scalar"`).
     pub fn apply(self) -> &'static str {
-        use querc_index::simd;
+        use querc_linalg::kernel::{set_kernel_override, Kernel};
         let kernel = match self {
             KernelPolicy::Auto => None,
-            KernelPolicy::ForceScalar => Some(querc_index::Kernel::Scalar),
-            KernelPolicy::ForceAvx2 => Some(querc_index::Kernel::Avx2),
-            KernelPolicy::ForceAvx512 => Some(querc_index::Kernel::Avx512),
+            KernelPolicy::ForceScalar => Some(Kernel::Scalar),
+            KernelPolicy::ForceAvx2 => Some(Kernel::Avx2),
+            KernelPolicy::ForceAvx512 => Some(Kernel::Avx512),
         };
-        simd::set_kernel_override(kernel).name()
+        set_kernel_override(kernel).name()
     }
 }
 

@@ -1,30 +1,27 @@
 //! Exact nearest-neighbor search by blocked linear scan.
 
-use crate::metric::Metric;
+use crate::metric::{Metric, Rows};
 use crate::store::VectorStore;
-use crate::{simd, Hit, IndexStats, TopK, VectorIndex};
+use crate::{Hit, IndexStats, VectorIndex};
+use querc_linalg::kernel;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Rows per scan block. Batched queries revisit each block while it is
-/// hot in L1/L2: the store is walked once per *block*, not once per
-/// query, which is what makes `search_batch` faster than k independent
-/// scans even though the arithmetic is identical.
-const SCAN_BLOCK: usize = 256;
 
 /// Exact k-NN over a [`VectorStore`] — the correctness baseline every
 /// approximate index is measured against.
 ///
-/// Distances are computed by the fused [`crate::simd`] block kernels
-/// (one query against a whole contiguous block, no per-row call
-/// overhead), dispatched at runtime between the AVX2 arm and the
-/// `querc_linalg::ops` scalar reference. The arms are bit-identical, so
-/// results (values *and* bits) still match the historical row-by-row
-/// brute force; only the selection rule is newly deterministic
+/// Distances are computed by the fused [`querc_linalg::kernel`] block
+/// kernels (one query against a whole contiguous block, no per-row call
+/// overhead), dispatched at runtime between the SIMD arms and the
+/// `querc_linalg::ops` scalar reference. Under [`Metric::Cosine`] the
+/// row norms are computed once, here at build, by the canonical
+/// reduction, and the scan is dot-only (a NaN/∞ row keeps a NaN/∞ norm
+/// and still sorts last). The arms are bit-identical, so results
+/// (values *and* bits) still match the historical row-by-row brute
+/// force; only the selection rule is newly deterministic
 /// (`(distance, id)` total order, see the crate docs).
 #[derive(Debug)]
 pub struct FlatIndex {
-    store: VectorStore,
-    metric: Metric,
+    rows: Rows,
     searches: AtomicU64,
     candidates: AtomicU64,
 }
@@ -33,8 +30,7 @@ impl FlatIndex {
     /// Index an existing store under `metric`.
     pub fn new(store: VectorStore, metric: Metric) -> FlatIndex {
         FlatIndex {
-            store,
-            metric,
+            rows: Rows::new(store, metric),
             searches: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
         }
@@ -50,69 +46,40 @@ impl FlatIndex {
 
     /// The indexed store.
     pub fn store(&self) -> &VectorStore {
-        &self.store
+        self.rows.store()
     }
 
     /// The index's metric.
     pub fn metric(&self) -> Metric {
-        self.metric
+        self.rows.metric()
     }
 
-    /// Distances from `query` to rows `[block_start, block_end)`,
-    /// written to `buf[..block_end - block_start]`.
-    #[inline]
-    fn scan_block(&self, query: &[f32], block_start: usize, block_end: usize, buf: &mut [f32]) {
-        let stride = self.store.stride();
-        let data = &self.store.data()[block_start * stride..block_end * stride];
-        self.metric
-            .distance_block(query, data, stride, &mut buf[..block_end - block_start]);
+    fn count(&self, searches: usize) {
+        self.searches.fetch_add(searches as u64, Ordering::Relaxed);
+        self.candidates
+            .fetch_add((searches * self.len()) as u64, Ordering::Relaxed);
     }
 }
 
 impl VectorIndex for FlatIndex {
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        self.candidates
-            .fetch_add(self.store.len() as u64, Ordering::Relaxed);
-        let n = self.store.len();
-        let mut top = TopK::new(k);
-        let mut buf = [0.0f32; SCAN_BLOCK];
-        let mut block_start = 0usize;
-        while block_start < n {
-            let block_end = (block_start + SCAN_BLOCK).min(n);
-            self.scan_block(query, block_start, block_end, &mut buf);
-            top.push_block(block_start as u32, &buf[..block_end - block_start]);
-            block_start = block_end;
-        }
-        top.into_sorted()
+        debug_assert_eq!(query.len(), self.dim());
+        self.count(1);
+        self.rows.top_k(query, k)
     }
 
     fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Hit>> {
-        self.searches
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.candidates
-            .fetch_add((queries.len() * self.store.len()) as u64, Ordering::Relaxed);
-        let mut tops: Vec<TopK> = queries.iter().map(|_| TopK::new(k)).collect();
-        let n = self.store.len();
-        let mut buf = [0.0f32; SCAN_BLOCK];
-        let mut block_start = 0usize;
-        while block_start < n {
-            let block_end = (block_start + SCAN_BLOCK).min(n);
-            for (q, top) in queries.iter().zip(tops.iter_mut()) {
-                self.scan_block(q, block_start, block_end, &mut buf);
-                top.push_block(block_start as u32, &buf[..block_end - block_start]);
-            }
-            block_start = block_end;
-        }
-        tops.into_iter().map(TopK::into_sorted).collect()
+        debug_assert!(queries.iter().all(|q| q.len() == self.dim()));
+        self.count(queries.len());
+        self.rows.top_k_batch(queries, k)
     }
 
     fn len(&self) -> usize {
-        self.store.len()
+        self.store().len()
     }
 
     fn dim(&self) -> usize {
-        self.store.dim()
+        self.store().dim()
     }
 
     fn stats(&self) -> IndexStats {
@@ -124,8 +91,8 @@ impl VectorIndex for FlatIndex {
             partitions: 1,
             exact: true,
             backend: "flat",
-            kernel: simd::kernel_name(),
-            resident_bytes: self.store.memory_bytes(),
+            kernel: kernel::kernel_name(),
+            resident_bytes: self.rows.memory_bytes(),
         }
     }
 }
@@ -133,6 +100,7 @@ impl VectorIndex for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::SCAN_BLOCK;
 
     fn grid() -> Vec<Vec<f32>> {
         (0..20).map(|i| vec![i as f32, 0.0]).collect()
@@ -148,16 +116,29 @@ mod tests {
 
     #[test]
     fn batch_matches_single_and_spans_blocks() {
-        // More rows than one scan block, to exercise block boundaries.
-        let rows: Vec<Vec<f32>> = (0..(SCAN_BLOCK * 2 + 17))
-            .map(|i| vec![(i as f32).sin(), (i as f32).cos()])
-            .collect();
-        let ix = FlatIndex::from_rows(&rows, Metric::Euclidean);
-        let queries: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32 * 0.3, 0.5]).collect();
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        let batched = ix.search_batch(&refs, 4);
-        for (q, hits) in refs.iter().zip(&batched) {
-            assert_eq!(*hits, ix.search(q, 4));
+        // More rows than one scan block, to exercise block boundaries:
+        // narrow rows fill the 256-row cap, wide rows (stride 136) get
+        // 24-row blocks.
+        for dim in [2usize, 130] {
+            let rows: Vec<Vec<f32>> = (0..(SCAN_BLOCK * 2 + 17))
+                .map(|i| (0..dim).map(|d| ((i * dim + d) as f32).sin()).collect())
+                .collect();
+            let queries: Vec<Vec<f32>> = (0..5)
+                .map(|i| (0..dim).map(|d| (i * d) as f32 * 0.3 + 0.5).collect())
+                .collect();
+            let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+            for metric in [Metric::Euclidean, Metric::Cosine] {
+                let ix = FlatIndex::from_rows(&rows, metric);
+                let batched = ix.search_batch(&refs, 4);
+                for (q, hits) in refs.iter().zip(&batched) {
+                    assert_eq!(*hits, ix.search(q, 4));
+                    let mut brute: Vec<Hit> = (0..rows.len())
+                        .map(|i| (i as u32, metric.distance(q, &rows[i])))
+                        .collect();
+                    brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                    assert_eq!(*hits, brute[..4], "{metric:?} dim={dim}");
+                }
+            }
         }
     }
 
@@ -183,7 +164,7 @@ mod tests {
         assert_eq!(s.partitions, 1);
         assert_eq!(s.candidates_per_search(), 20.0);
         assert_eq!(s.backend, "flat");
-        assert_eq!(s.kernel, simd::kernel_name());
+        assert_eq!(s.kernel, kernel::kernel_name());
         assert_eq!(s.resident_bytes, ix.store().memory_bytes());
     }
 

@@ -10,11 +10,11 @@
 //! recall knob: `nprobe == nlist` degenerates to an exact (if
 //! re-ordered) scan, `nprobe == 1` is the fastest and least recalled.
 
-use crate::metric::Metric;
+use crate::metric::{Metric, Rows};
 use crate::store::VectorStore;
 use crate::{Hit, IndexStats, TopK, VectorIndex};
 use querc_cluster::{kmeans, KMeansConfig};
-use querc_linalg::{ops, Pcg32};
+use querc_linalg::{kernel, ops, Pcg32};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Build/search knobs for an [`IvfIndex`].
@@ -118,15 +118,15 @@ pub(crate) fn coarse_partition(
         // fused block kernels. Cosine distance is magnitude-invariant,
         // so original (un-normalized) rows assign identically to their
         // normalized copies.
-        let assigner = crate::FlatIndex::from_rows(&result.centroids, metric);
+        let assigner = Rows::new(VectorStore::from_rows(&result.centroids), metric);
         const CHUNK: usize = 1024;
         let mut start = 0usize;
         while start < n {
             let end = (start + CHUNK).min(n);
             let rows: Vec<&[f32]> = (start..end).map(|i| store.row(i)).collect();
-            for (i, best) in assigner.nearest_batch(&rows).into_iter().enumerate() {
-                // A built index over ≥1 centroids always yields a hit.
-                if let Some(c) = best {
+            for (i, best) in assigner.top_k_batch(&rows, 1).into_iter().enumerate() {
+                // A scan over ≥1 centroids always yields a hit.
+                if let Some(&(c, _)) = best.first() {
                     lists[c as usize].push((start + i) as u32);
                 }
             }
@@ -150,11 +150,10 @@ pub(crate) fn coarse_partition(
 /// [`crate::FlatIndex`].
 #[derive(Debug)]
 pub struct IvfIndex {
-    store: VectorStore,
-    metric: Metric,
+    rows: Rows,
     /// Coarse centroids, in the clustering space (unit-normalized when
     /// the metric is cosine).
-    centroids: VectorStore,
+    centroids: Rows,
     /// `lists[c]` = ids of rows whose nearest centroid is `c`.
     lists: Vec<Vec<u32>>,
     nprobe: usize,
@@ -180,11 +179,10 @@ impl IvfIndex {
             cfg.seed,
         );
         IvfIndex {
-            centroids,
+            centroids: Rows::new(centroids, metric),
             lists,
             nprobe: cfg.nprobe.max(1),
-            store,
-            metric,
+            rows: Rows::new(store, metric),
             searches: AtomicU64::new(0),
             probes: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
@@ -227,9 +225,8 @@ impl IvfIndex {
             return None;
         }
         Some(IvfIndex {
-            store,
-            metric,
-            centroids,
+            rows: Rows::new(store, metric),
+            centroids: Rows::new(centroids, metric),
             lists,
             nprobe: nprobe.max(1),
             searches: AtomicU64::new(0),
@@ -242,7 +239,7 @@ impl IvfIndex {
     /// normalized when the metric is cosine). Export half of
     /// [`IvfIndex::from_parts`].
     pub fn centroids(&self) -> &VectorStore {
-        &self.centroids
+        self.centroids.store()
     }
 
     /// The inverted lists: `lists()[c]` holds the row ids assigned to
@@ -274,36 +271,28 @@ impl IvfIndex {
 
     /// The indexed store.
     pub fn store(&self) -> &VectorStore {
-        &self.store
-    }
-
-    /// The `nprobe` nearest centroid ids to `query`, closest first.
-    fn probe_order(&self, query: &[f32], nprobe: usize) -> Vec<Hit> {
-        let mut top = TopK::new(nprobe);
-        for c in 0..self.centroids.len() {
-            top.push(c as u32, self.metric.distance(query, self.centroids.row(c)));
-        }
-        top.into_sorted()
+        self.rows.store()
     }
 }
 
 impl VectorIndex for IvfIndex {
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
+        debug_assert_eq!(query.len(), self.dim());
         self.searches.fetch_add(1, Ordering::Relaxed);
         if self.lists.is_empty() {
             return Vec::new();
         }
-        let nprobe = self.nprobe.min(self.nlist());
-        let probed = self.probe_order(query, nprobe);
+        let probed = self.centroids.top_k(query, self.nprobe.min(self.nlist()));
         self.probes
             .fetch_add(probed.len() as u64, Ordering::Relaxed);
+        let nq = self.rows.query_norm(query);
         let mut scanned = 0u64;
         let mut top = TopK::new(k);
         for (c, _) in probed {
             let list = &self.lists[c as usize];
             scanned += list.len() as u64;
             for &id in list {
-                top.push(id, self.metric.distance(query, self.store.row(id as usize)));
+                top.push(id, self.rows.distance(query, nq, id as usize));
             }
         }
         self.candidates.fetch_add(scanned, Ordering::Relaxed);
@@ -318,22 +307,28 @@ impl VectorIndex for IvfIndex {
     /// traversal order changes, which the `(distance, id)` total order
     /// is insensitive to.
     fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Hit>> {
+        debug_assert!(queries.iter().all(|q| q.len() == self.dim()));
         self.searches
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         if self.lists.is_empty() {
             return vec![Vec::new(); queries.len()];
         }
-        let nprobe = self.nprobe.min(self.nlist());
         let mut probed_total = 0u64;
         let mut by_list: Vec<Vec<u32>> = vec![Vec::new(); self.lists.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            let probed = self.probe_order(q, nprobe);
+        let nprobe = self.nprobe.min(self.nlist());
+        for (qi, probed) in self
+            .centroids
+            .top_k_batch(queries, nprobe)
+            .iter()
+            .enumerate()
+        {
             probed_total += probed.len() as u64;
-            for (c, _) in probed {
+            for &(c, _) in probed {
                 by_list[c as usize].push(qi as u32);
             }
         }
         self.probes.fetch_add(probed_total, Ordering::Relaxed);
+        let norms: Vec<f32> = queries.iter().map(|q| self.rows.query_norm(q)).collect();
         let mut scanned = 0u64;
         let mut tops: Vec<TopK> = queries.iter().map(|_| TopK::new(k)).collect();
         for (c, probers) in by_list.iter().enumerate() {
@@ -343,9 +338,9 @@ impl VectorIndex for IvfIndex {
             let list = &self.lists[c];
             scanned += (list.len() * probers.len()) as u64;
             for &id in list {
-                let row = self.store.row(id as usize);
                 for &qi in probers {
-                    tops[qi as usize].push(id, self.metric.distance(queries[qi as usize], row));
+                    let (q, nq) = (queries[qi as usize], norms[qi as usize]);
+                    tops[qi as usize].push(id, self.rows.distance(q, nq, id as usize));
                 }
             }
         }
@@ -354,11 +349,11 @@ impl VectorIndex for IvfIndex {
     }
 
     fn len(&self) -> usize {
-        self.store.len()
+        self.store().len()
     }
 
     fn dim(&self) -> usize {
-        self.store.dim()
+        self.store().dim()
     }
 
     fn stats(&self) -> IndexStats {
@@ -376,8 +371,8 @@ impl VectorIndex for IvfIndex {
             // the flag reflects the *current* nprobe setting.
             exact: self.nprobe >= self.nlist(),
             backend: "ivf",
-            kernel: crate::simd::kernel_name(),
-            resident_bytes: self.store.memory_bytes() + self.centroids.memory_bytes() + lists_bytes,
+            kernel: kernel::kernel_name(),
+            resident_bytes: self.rows.memory_bytes() + self.centroids.memory_bytes() + lists_bytes,
         }
     }
 }

@@ -32,14 +32,12 @@
 pub mod flat;
 pub mod ivf;
 pub mod metric;
-pub mod simd;
 pub mod sq8;
 pub mod store;
 
 pub use flat::FlatIndex;
 pub use ivf::{IvfConfig, IvfIndex};
 pub use metric::Metric;
-pub use simd::Kernel;
 pub use sq8::{Sq8Config, Sq8Index};
 pub use store::VectorStore;
 
@@ -71,11 +69,12 @@ pub struct IndexStats {
     /// Index implementation: `"flat"`, `"ivf"`, `"sq8"` or
     /// `"ivf+sq8"` (`""` on a default-constructed stats value).
     pub backend: &'static str,
-    /// Distance-kernel arm the process is dispatching to — `"avx2"` or
-    /// `"scalar"` (`""` on a default-constructed stats value). See
-    /// [`simd::kernel_name`].
+    /// Distance-kernel arm the process is dispatching to — `"avx512"`,
+    /// `"avx2"` or `"scalar"` (`""` on a default-constructed stats
+    /// value). See [`querc_linalg::kernel::kernel_name`].
     pub kernel: &'static str,
-    /// Bytes resident for search: vectors/codes plus index structure.
+    /// Bytes resident for search: vectors/codes plus index structure,
+    /// including the row norms a cosine index caches at build.
     /// The SQ8 backends report roughly a quarter of flat's footprint
     /// (an eighth of the vector payload, plus quantizer and list
     /// overhead); re-ranking adds the exact store back on top.

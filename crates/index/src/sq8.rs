@@ -5,7 +5,7 @@
 //! step_d` with `step_d = (max_d − min_d) / 255` trained over the
 //! indexed rows. Search runs **asymmetric distance computation** (ADC):
 //! the query stays full-precision f32 and is compared against decoded
-//! codes on the fly by the fused [`crate::simd`] u8 kernels — the codes
+//! codes on the fly by the fused [`querc_linalg::kernel`] u8 kernels — the codes
 //! are never materialized back to f32 rows.
 //!
 //! Two compositions:
@@ -34,14 +34,11 @@
 //! reproduces search results bit for bit.
 
 use crate::ivf::coarse_partition;
-use crate::metric::Metric;
+use crate::metric::{Metric, Rows, SCAN_BLOCK};
 use crate::store::VectorStore;
-use crate::{simd, Hit, IndexStats, TopK, VectorIndex};
-use querc_linalg::ops;
+use crate::{Hit, IndexStats, TopK, VectorIndex};
+use querc_linalg::{kernel, ops};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Code rows per ADC scan chunk (mirrors the flat scan's blocking).
-const SCAN_BLOCK: usize = 256;
 
 /// Build/search knobs for an [`Sq8Index`].
 #[derive(Debug, Clone)]
@@ -190,7 +187,7 @@ pub struct Sq8Index {
     dim: usize,
     quant: Sq8Quantizer,
     /// Coarse centroids; empty ⇒ flat ADC scan over one implicit list.
-    centroids: VectorStore,
+    centroids: Rows,
     /// Codes permuted so each list's rows are contiguous: permuted row
     /// `j` encodes original row `ids[j]`; list `c` spans
     /// `offsets[c]..offsets[c + 1]`.
@@ -201,7 +198,7 @@ pub struct Sq8Index {
     /// squared-Euclidean).
     norms: Vec<f32>,
     /// Retained f32 rows (original id order) when `rerank_factor > 0`.
-    exact: Option<VectorStore>,
+    exact: Option<Rows>,
     nprobe: usize,
     rerank_factor: usize,
     searches: AtomicU64,
@@ -290,12 +287,12 @@ impl Sq8Index {
             metric,
             dim,
             quant,
-            centroids,
+            centroids: Rows::new(centroids, metric),
             codes,
             ids,
             offsets,
             norms,
-            exact: (cfg.rerank_factor > 0).then_some(store),
+            exact: (cfg.rerank_factor > 0).then(|| Rows::new(store, metric)),
             nprobe: cfg.nprobe.max(1),
             rerank_factor: cfg.rerank_factor,
             searches: AtomicU64::new(0),
@@ -403,12 +400,12 @@ impl Sq8Index {
             metric,
             dim,
             quant,
-            centroids,
+            centroids: Rows::new(centroids, metric),
             codes,
             ids,
             offsets,
             norms,
-            exact,
+            exact: exact.map(|rows| Rows::new(rows, metric)),
             nprobe: nprobe.max(1),
             rerank_factor,
             searches: AtomicU64::new(0),
@@ -435,12 +432,12 @@ impl Sq8Index {
 
     /// Coarse centroids (empty for a flat SQ8 index).
     pub fn centroids(&self) -> &VectorStore {
-        &self.centroids
+        self.centroids.store()
     }
 
     /// Inverted lists (empty for a flat SQ8 index).
     pub fn lists(&self) -> Vec<Vec<u32>> {
-        if self.centroids.is_empty() {
+        if self.nlist() == 0 {
             return Vec::new();
         }
         (0..self.offsets.len() - 1)
@@ -450,7 +447,7 @@ impl Sq8Index {
 
     /// The retained f32 rows, when re-ranking is enabled.
     pub fn exact_store(&self) -> Option<&VectorStore> {
-        self.exact.as_ref()
+        self.exact.as_ref().map(Rows::store)
     }
 
     /// The index's metric.
@@ -476,7 +473,7 @@ impl Sq8Index {
 
     /// Number of coarse lists (0 for a flat SQ8 index).
     pub fn nlist(&self) -> usize {
-        self.centroids.len()
+        self.centroids.store().len()
     }
 
     /// Internal scan lists (the flat index has one implicit list).
@@ -486,19 +483,15 @@ impl Sq8Index {
 
     /// Probe order over scan lists for `query`.
     fn probe_order(&self, query: &[f32]) -> Vec<u32> {
-        if self.centroids.is_empty() {
+        if self.nlist() == 0 {
             return if self.scan_lists() == 0 {
                 Vec::new()
             } else {
                 vec![0]
             };
         }
-        let nprobe = self.nprobe.min(self.centroids.len());
-        let mut top = TopK::new(nprobe);
-        for c in 0..self.centroids.len() {
-            top.push(c as u32, self.metric.distance(query, self.centroids.row(c)));
-        }
-        top.into_sorted().into_iter().map(|(c, _)| c).collect()
+        let probed = self.centroids.top_k(query, self.nprobe.min(self.nlist()));
+        probed.into_iter().map(|(c, _)| c).collect()
     }
 
     /// ADC-scan list `c`, pushing `(original id, adc distance)` into
@@ -512,8 +505,8 @@ impl Sq8Index {
             Metric::Euclidean => {
                 // t = q − µ_c − min, folded once per (query, list).
                 let mut t = scratch.t_base.clone();
-                if !self.centroids.is_empty() {
-                    let mu = self.centroids.row(c);
+                if self.nlist() > 0 {
+                    let mu = self.centroids.store().row(c);
                     for d in 0..self.dim {
                         t[d] -= mu[d];
                     }
@@ -521,7 +514,7 @@ impl Sq8Index {
                 while row < end {
                     let chunk = (end - row).min(SCAN_BLOCK);
                     let codes = &self.codes.data[row * stride..(row + chunk) * stride];
-                    simd::adc_sq_block(&t, &self.quant.step, codes, stride, &mut buf[..chunk]);
+                    kernel::adc_sq_block(&t, &self.quant.step, codes, stride, &mut buf[..chunk]);
                     for (j, &d) in buf[..chunk].iter().enumerate() {
                         top.push(self.ids[row + j], d);
                     }
@@ -532,15 +525,10 @@ impl Sq8Index {
                 while row < end {
                     let chunk = (end - row).min(SCAN_BLOCK);
                     let codes = &self.codes.data[row * stride..(row + chunk) * stride];
-                    simd::adc_dot_block(&scratch.w, codes, stride, &mut buf[..chunk]);
+                    kernel::adc_dot_block(&scratch.w, codes, stride, &mut buf[..chunk]);
                     for (j, &wcs) in buf[..chunk].iter().enumerate() {
-                        let dot = scratch.qb + wcs;
-                        let nx = self.norms[row + j];
-                        let dist = if scratch.nq == 0.0 || nx == 0.0 {
-                            1.0
-                        } else {
-                            1.0 - (dot / (scratch.nq * nx)).clamp(-1.0, 1.0)
-                        };
+                        let dist =
+                            ops::cosine_finish(scratch.qb + wcs, scratch.nq, self.norms[row + j]);
                         top.push(self.ids[row + j], dist);
                     }
                     row += chunk;
@@ -557,9 +545,10 @@ impl Sq8Index {
         let Some(exact) = &self.exact else {
             return adc_hits.into_iter().take(k).collect();
         };
+        let nq = exact.query_norm(query);
         let mut top = TopK::new(k);
         for (id, _) in adc_hits {
-            top.push(id, self.metric.distance(query, exact.row(id as usize)));
+            top.push(id, exact.distance(query, nq, id as usize));
         }
         top.into_sorted()
     }
@@ -618,6 +607,7 @@ impl QueryScratch {
 
 impl VectorIndex for Sq8Index {
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
+        debug_assert_eq!(query.len(), self.dim());
         self.searches.fetch_add(1, Ordering::Relaxed);
         let probed = self.probe_order(query);
         self.probes
@@ -640,6 +630,7 @@ impl VectorIndex for Sq8Index {
     /// for every query probing it. Results are identical to per-query
     /// [`VectorIndex::search`].
     fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Hit>> {
+        debug_assert!(queries.iter().all(|q| q.len() == self.dim()));
         self.searches
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         if self.scan_lists() == 0 {
@@ -690,19 +681,15 @@ impl VectorIndex for Sq8Index {
             + self.norms.len() * std::mem::size_of::<f32>()
             + self.centroids.memory_bytes()
             + quant_bytes
-            + self.exact.as_ref().map_or(0, VectorStore::memory_bytes);
+            + self.exact.as_ref().map_or(0, Rows::memory_bytes);
         IndexStats {
             searches: self.searches.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
             candidates: self.candidates.load(Ordering::Relaxed),
             partitions: self.nlist().max(usize::from(!self.ids.is_empty())),
             exact: false,
-            backend: if self.centroids.is_empty() {
-                "sq8"
-            } else {
-                "ivf+sq8"
-            },
-            kernel: simd::kernel_name(),
+            backend: if self.nlist() == 0 { "sq8" } else { "ivf+sq8" },
+            kernel: kernel::kernel_name(),
             resident_bytes: resident,
         }
     }
@@ -711,7 +698,8 @@ impl VectorIndex for Sq8Index {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlatIndex, Kernel};
+    use crate::FlatIndex;
+    use querc_linalg::kernel::Kernel;
     use querc_linalg::Pcg32;
 
     fn blobs(n_per: usize, centers: &[(f32, f32, f32)], seed: u64) -> Vec<Vec<f32>> {
@@ -957,11 +945,11 @@ mod tests {
                 },
             );
             let q = [2.5f32, 2.4, 2.6];
-            crate::simd::set_kernel_override(Some(Kernel::Scalar));
+            kernel::set_kernel_override(Some(Kernel::Scalar));
             let scalar = ix.search(&q, 8);
-            crate::simd::set_kernel_override(Some(Kernel::Avx2));
+            kernel::set_kernel_override(Some(Kernel::Avx2));
             let avx2 = ix.search(&q, 8);
-            crate::simd::set_kernel_override(None);
+            kernel::set_kernel_override(None);
             assert_eq!(scalar.len(), avx2.len());
             for (a, b) in scalar.iter().zip(&avx2) {
                 assert_eq!(a.0, b.0, "{metric:?}");

@@ -126,7 +126,7 @@ impl VectorStore {
 
     /// The raw padded backing buffer (`len() * stride()` floats, row
     /// `i` at `i * stride()`, padding zero-filled) — the operand the
-    /// fused [`crate::simd`] block kernels scan without per-row slicing.
+    /// fused [`querc_linalg::kernel`] block kernels scan without per-row slicing.
     #[inline]
     pub fn data(&self) -> &[f32] {
         &self.data

@@ -1,11 +1,21 @@
 //! Property tests for the SIMD kernel parity contract and the SQ8
 //! quantizer's error bounds.
 //!
-//! Three families:
+//! Five families:
 //!
 //! * **SIMD ≡ scalar, bit for bit** — fuzzed over random lengths
 //!   (including every tail residue `n % 8`), denormal components, and
 //!   unaligned query slices. `to_bits` equality, not approximate.
+//! * **Normed cosine scan ≡ `ops::cosine_dist`, bit for bit** —
+//!   enumerated, not sampled: every dim 1..=67 × every row count
+//!   0..=13 × two strides × every arm, with zero, denormal, NaN and ∞
+//!   rows and zero/denormal queries, so each branch of the scan (quad
+//!   rows, remainder rows, tail-carrying dims, the zero-norm blend) is
+//!   provably taken.
+//! * **Cosine indexes ≡ brute force** — `FlatIndex`, full-probe
+//!   `IvfIndex` and re-ranked `Sq8Index` return the brute-force
+//!   `ops::cosine_dist` ranking, distances bit-identical, and
+//!   `search_batch` ≡ `search`.
 //! * **Quantizer round-trip** — `decode(encode(x))` is within half a
 //!   quantization step of `x` in every dimension.
 //! * **ADC error bound** — the asymmetric (f32 query × u8 codes)
@@ -14,18 +24,20 @@
 //!   rounding slack.
 
 use proptest::prelude::*;
-use querc_index::simd::{self, Kernel};
-use querc_index::{Metric, Sq8Config, Sq8Index, VectorIndex, VectorStore};
-use querc_linalg::ops;
+use querc_index::{
+    FlatIndex, Hit, IvfConfig, IvfIndex, Metric, Sq8Config, Sq8Index, VectorIndex, VectorStore,
+};
+use querc_linalg::kernel::{self, Kernel};
+use querc_linalg::{ops, Pcg32};
 
 /// Kernels whose parity this machine can witness: always the scalar
 /// reference; the AVX2 / AVX-512 arms when the CPU has them.
 fn arms() -> Vec<Kernel> {
     let mut arms = vec![Kernel::Scalar];
-    if querc_index::simd::avx2_available() {
+    if kernel::avx2_available() {
         arms.push(Kernel::Avx2);
     }
-    if querc_index::simd::avx512_available() {
+    if kernel::avx512_available() {
         arms.push(Kernel::Avx512);
     }
     arms
@@ -41,8 +53,228 @@ fn seed_denormals(v: &mut [f32], mask: u64) {
     }
 }
 
+/// Bit equality, except that any NaN equals any NaN: IEEE 754 leaves
+/// the payload of a generated NaN to the implementation, and a NaN
+/// distance only ever needs to *be* NaN to sort last.
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// The row kinds the cosine scan must survive, cycled by row index so
+/// every quad, every remainder position and every row count sees each.
+fn special_row(kind: usize, dim: usize, rng: &mut Pcg32) -> Vec<f32> {
+    let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 3.0).collect();
+    match kind % 7 {
+        1 => row.fill(0.0),
+        2 => row
+            .iter_mut()
+            .for_each(|x| *x = f32::MIN_POSITIVE / 4.0 * x.signum()),
+        3 => row[dim / 2] = f32::NAN,
+        4 => row[dim - 1] = f32::INFINITY,
+        5 => row[0] = f32::MIN_POSITIVE / 2.0,
+        _ => {}
+    }
+    row
+}
+
+/// Enumerated parity of the normed scan and of the re-expressed
+/// `cosine_dist_block` against `ops::cosine_dist`: dims 1..=67 (tails
+/// and non-multiples of 8), row counts 0..=13 (quad and single
+/// remainders, more than two quads), padded and unaligned strides with
+/// NaN in the padding (a kernel that read it would show), on every arm
+/// this machine has.
+#[test]
+fn normed_cosine_scan_is_bit_identical_to_ops_on_every_arm() {
+    let mut rng = Pcg32::new(0x5ca9);
+    let mut checked = 0usize;
+    for dim in 1usize..=67 {
+        let queries = [
+            (0..dim).map(|_| rng.normal()).collect::<Vec<f32>>(),
+            vec![0.0f32; dim],
+            special_row(2, dim, &mut rng),
+        ];
+        for rows in 0usize..=13 {
+            for stride in [dim.div_ceil(8) * 8, dim + 3] {
+                let mut data = vec![f32::NAN; rows * stride];
+                for r in 0..rows {
+                    let row = special_row(r + rows + dim, dim, &mut rng);
+                    data[r * stride..r * stride + dim].copy_from_slice(&row);
+                }
+                for q in &queries {
+                    let want: Vec<f32> = (0..rows)
+                        .map(|r| ops::cosine_dist(q, &data[r * stride..r * stride + dim]))
+                        .collect();
+                    for &arm in &arms() {
+                        let norms: Vec<f32> = (0..rows)
+                            .map(|r| kernel::norm_with(arm, &data[r * stride..r * stride + dim]))
+                            .collect();
+                        for (r, n) in norms.iter().enumerate() {
+                            let row = &data[r * stride..r * stride + dim];
+                            assert!(
+                                same_bits(*n, ops::norm(row)),
+                                "norm {arm:?} dim={dim} r={r}"
+                            );
+                        }
+                        let nq = kernel::norm_with(arm, q);
+                        assert!(same_bits(nq, ops::norm(q)));
+                        let mut normed = vec![0.0f32; rows];
+                        kernel::cosine_dist_block_normed_with(
+                            arm,
+                            q,
+                            nq,
+                            &data,
+                            stride,
+                            &norms,
+                            &mut normed,
+                        );
+                        let mut block = vec![0.0f32; rows];
+                        kernel::cosine_dist_block_with(arm, q, &data, stride, &mut block);
+                        for r in 0..rows {
+                            assert!(
+                                same_bits(normed[r], want[r]),
+                                "normed scan {arm:?} dim={dim} rows={rows} stride={stride} r={r}: \
+                                 {} vs {}",
+                                normed[r],
+                                want[r]
+                            );
+                            assert!(
+                                same_bits(block[r], want[r]),
+                                "cosine_dist_block {arm:?} dim={dim} rows={rows} stride={stride} r={r}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 30_000, "enumeration shrank: {checked}");
+}
+
+/// `cosine_dist_block` chunks its norm buffer at 256 rows; cross the
+/// boundary.
+#[test]
+fn cosine_dist_block_spans_its_norm_chunks() {
+    let (dim, rows) = (16usize, 600usize);
+    let mut rng = Pcg32::new(77);
+    let data: Vec<f32> = (0..rows * dim).map(|_| rng.normal()).collect();
+    let q: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+    for &arm in &arms() {
+        let mut out = vec![0.0f32; rows];
+        kernel::cosine_dist_block_with(arm, &q, &data, dim, &mut out);
+        for r in 0..rows {
+            let want = ops::cosine_dist(&q, &data[r * dim..(r + 1) * dim]);
+            assert_eq!(out[r].to_bits(), want.to_bits(), "{arm:?} r={r}");
+        }
+    }
+}
+
+/// Brute-force top-`k` under the crate's `(distance, id)` total order.
+fn brute_force(rows: &[Vec<f32>], q: &[f32], k: usize) -> Vec<Hit> {
+    let mut all: Vec<Hit> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i as u32, ops::cosine_dist(q, r)))
+        .collect();
+    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    all.truncate(k);
+    all
+}
+
+fn assert_hits_eq(got: &[Hit], want: &[Hit], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: {got:?} vs {want:?}");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            g.0 == w.0 && same_bits(g.1, w.1),
+            "{what}: {got:?} vs {want:?}"
+        );
+    }
+}
+
+/// A query of the wrong dimension is a caller bug the indexes now
+/// refuse in debug builds instead of scoring row prefixes or reading
+/// stride padding.
+#[test]
+#[cfg(debug_assertions)]
+fn wrong_dimension_queries_are_refused_in_debug_builds() {
+    let rows: Vec<Vec<f32>> = (0..12).map(|i| vec![i as f32, 1.0, 2.0]).collect();
+    let indexes: Vec<Box<dyn VectorIndex>> = vec![
+        Box::new(FlatIndex::from_rows(&rows, Metric::Cosine)),
+        Box::new(IvfIndex::from_rows(
+            &rows,
+            Metric::Cosine,
+            &IvfConfig::default(),
+        )),
+        Box::new(Sq8Index::from_rows(
+            &rows,
+            Metric::Cosine,
+            &Sq8Config::default(),
+        )),
+    ];
+    for ix in &indexes {
+        for bad in [&[1.0f32, 2.0][..], &[1.0, 2.0, 3.0, 4.0]] {
+            let single =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ix.search(bad, 1)));
+            assert!(single.is_err(), "{} search", ix.stats().backend);
+            let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ix.search_batch(&[&[0.0f32, 0.0, 1.0][..], bad], 1)
+            }));
+            assert!(batch.is_err(), "{} search_batch", ix.stats().backend);
+        }
+        assert_eq!(ix.search(&[1.0, 0.0, 0.0], 1).len(), 1);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every cosine index answers with the brute-force
+    /// `ops::cosine_dist` ranking — ids and distance bits — and its
+    /// batched search equals its single search. IVF probes every list
+    /// and SQ8 re-ranks every row, so both are exact here; zero and
+    /// denormal rows and a zero query ride along.
+    #[test]
+    fn cosine_indexes_match_brute_force(
+        dim in 1usize..40,
+        n in 1usize..48,
+        k in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Pcg32::new(seed);
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|r| special_row(if r % 5 == 0 { r / 5 % 3 } else { 0 }, dim, &mut rng))
+            .collect();
+        let mut queries: Vec<Vec<f32>> = (0..4)
+            .map(|_| (0..dim).map(|_| rng.normal()).collect())
+            .collect();
+        queries.push(vec![0.0; dim]);
+        queries.push(rows[n / 2].clone());
+        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+
+        let nlist = n.min(4);
+        let indexes: Vec<Box<dyn VectorIndex>> = vec![
+            Box::new(FlatIndex::from_rows(&rows, Metric::Cosine)),
+            Box::new(IvfIndex::from_rows(&rows, Metric::Cosine, &IvfConfig {
+                nlist,
+                nprobe: nlist,
+                ..Default::default()
+            })),
+            Box::new(Sq8Index::from_rows(&rows, Metric::Cosine, &Sq8Config {
+                nlist,
+                nprobe: nlist,
+                rerank_factor: n, // k·n ≥ n candidates: every row is re-ranked
+                ..Default::default()
+            })),
+        ];
+        for ix in &indexes {
+            let what = ix.stats().backend;
+            let batched = ix.search_batch(&refs, k);
+            for (q, hits) in refs.iter().zip(&batched) {
+                assert_hits_eq(&ix.search(q, k), &brute_force(&rows, q, k), what);
+                assert_hits_eq(hits, &ix.search(q, k), what);
+            }
+        }
+    }
 
     /// Row kernels agree bit-for-bit across arms, for any length
     /// (tails of every residue), with denormal components, reading the
@@ -65,9 +297,9 @@ proptest! {
         let a_off = &a_pad[1..];
 
         let arms = arms();
-        let sq: Vec<u32> = arms.iter().map(|&k| simd::sq_dist_with(k, a_off, &b).to_bits()).collect();
-        let co: Vec<u32> = arms.iter().map(|&k| simd::cosine_dist_with(k, a_off, &b).to_bits()).collect();
-        let dt: Vec<u32> = arms.iter().map(|&k| simd::dot_with(k, a_off, &b).to_bits()).collect();
+        let sq: Vec<u32> = arms.iter().map(|&k| kernel::sq_dist_with(k, a_off, &b).to_bits()).collect();
+        let co: Vec<u32> = arms.iter().map(|&k| kernel::cosine_dist_with(k, a_off, &b).to_bits()).collect();
+        let dt: Vec<u32> = arms.iter().map(|&k| kernel::dot_with(k, a_off, &b).to_bits()).collect();
         for w in [&sq, &co, &dt] {
             prop_assert!(w.windows(2).all(|p| p[0] == p[1]), "arm mismatch: {w:?}");
         }
@@ -103,9 +335,9 @@ proptest! {
                 let mut out = vec![0.0f32; rows];
                 match metric {
                     Metric::Euclidean =>
-                        simd::sq_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
+                        kernel::sq_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
                     Metric::Cosine =>
-                        simd::cosine_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
+                        kernel::cosine_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
                 }
                 outs.push(out);
             }
@@ -144,8 +376,8 @@ proptest! {
         for &k in &arms() {
             let mut sq = vec![0.0f32; rows];
             let mut dt = vec![0.0f32; rows];
-            simd::adc_sq_block_with(k, &t, &step, &codes, stride, &mut sq);
-            simd::adc_dot_block_with(k, &t, &codes, stride, &mut dt);
+            kernel::adc_sq_block_with(k, &t, &step, &codes, stride, &mut sq);
+            kernel::adc_dot_block_with(k, &t, &codes, stride, &mut dt);
             sq_outs.push(sq);
             dot_outs.push(dt);
         }

@@ -40,11 +40,9 @@
 //! parity suite and the benchmarks (timing one arm against the other
 //! without touching process-global state).
 //!
-//! Historically this module lived in `querc_index::simd`; it moved here
-//! so the training stack (`querc-embed`, `querc-learn`,
-//! `querc-cluster`, [`crate::Matrix`]) can reach the same kernels
-//! without depending on the index crate. `querc_index::simd` re-exports
-//! everything, so index-plane call sites are unchanged.
+//! The index plane (`querc-index`) and the training stack
+//! (`querc-embed`, `querc-learn`, `querc-cluster`, [`crate::Matrix`])
+//! both import this module directly; there is no other path to it.
 
 use crate::ops;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -166,7 +164,7 @@ pub fn active_kernel() -> Kernel {
     }
 }
 
-/// Name of the active kernel arm (`"avx2"` / `"scalar"`), as surfaced
+/// Name of the active kernel arm (`"avx512"` / `"avx2"` / `"scalar"`), as surfaced
 /// in index stats and the serving-layer throughput reports.
 pub fn kernel_name() -> &'static str {
     active_kernel().name()
@@ -207,14 +205,24 @@ pub fn cosine_dist(a: &[f32], b: &[f32]) -> f32 {
 /// [`cosine_dist`] on an explicit arm (parity tests / benchmarks).
 #[inline]
 pub fn cosine_dist_with(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match kernel {
-        Kernel::Scalar => ops::cosine_dist(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::cosine_dist(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 | Kernel::Avx512 => ops::cosine_dist(a, b),
-    }
+    ops::cosine_finish(
+        dot_with(kernel, a, b),
+        norm_with(kernel, a),
+        norm_with(kernel, b),
+    )
+}
+
+/// Euclidean norm, on the active kernel. Bit-identical to `ops::norm`
+/// — what the cosine indexes cache per row and hoist per query.
+#[inline]
+pub fn norm(x: &[f32]) -> f32 {
+    norm_with(active_kernel(), x)
+}
+
+/// [`norm`] on an explicit arm.
+#[inline]
+pub fn norm_with(kernel: Kernel, x: &[f32]) -> f32 {
+    dot_with(kernel, x, x).sqrt()
 }
 
 /// Dot product, on the active kernel. Bit-identical to `ops::dot`.
@@ -300,6 +308,10 @@ pub fn sq_dist_block_with(kernel: Kernel, q: &[f32], data: &[f32], stride: usize
 /// Cosine distances from `q` to `out.len()` consecutive rows of
 /// `data`, on the active kernel. `out[r]` is bit-identical to
 /// `ops::cosine_dist(q, row_r)`.
+///
+/// The uncached form: it computes every norm, then runs
+/// [`cosine_dist_block_normed`], which an index that caches its row
+/// norms calls directly.
 #[inline]
 pub fn cosine_dist_block(q: &[f32], data: &[f32], stride: usize, out: &mut [f32]) {
     cosine_dist_block_with(active_kernel(), q, data, stride, out)
@@ -314,17 +326,64 @@ pub fn cosine_dist_block_with(
     out: &mut [f32],
 ) {
     assert!(q.len() <= stride && data.len() >= out.len() * stride);
+    const CHUNK: usize = 256;
+    let nq = norm_with(kernel, q);
+    let mut norms = [0.0f32; CHUNK];
+    for (c, out) in out.chunks_mut(CHUNK).enumerate() {
+        let data = &data[c * CHUNK * stride..];
+        let norms = &mut norms[..out.len()];
+        for (r, n) in norms.iter_mut().enumerate() {
+            *n = norm_with(kernel, &data[r * stride..r * stride + q.len()]);
+        }
+        cosine_dist_block_normed_with(kernel, q, nq, data, stride, norms, out);
+    }
+}
+
+/// [`cosine_dist_block`] with the norms already known: `nq` must be
+/// [`norm`]`(q)` and `norms[r]` [`norm`]`(row_r)`. The scan is
+/// **dot-only** — one `dot(q, row)` per row, then
+/// [`ops::cosine_finish`] — so `out[r]` is still bit-identical to
+/// `ops::cosine_dist(q, row_r)`, at half the arithmetic.
+#[inline]
+pub fn cosine_dist_block_normed(
+    q: &[f32],
+    nq: f32,
+    data: &[f32],
+    stride: usize,
+    norms: &[f32],
+    out: &mut [f32],
+) {
+    cosine_dist_block_normed_with(active_kernel(), q, nq, data, stride, norms, out)
+}
+
+/// [`cosine_dist_block_normed`] on an explicit arm.
+pub fn cosine_dist_block_normed_with(
+    kernel: Kernel,
+    q: &[f32],
+    nq: f32,
+    data: &[f32],
+    stride: usize,
+    norms: &[f32],
+    out: &mut [f32],
+) {
+    assert!(q.len() <= stride && data.len() >= out.len() * stride && norms.len() == out.len());
     match kernel {
         Kernel::Scalar => {
             for (r, o) in out.iter_mut().enumerate() {
-                *o = ops::cosine_dist(q, &data[r * stride..r * stride + q.len()]);
+                let row = &data[r * stride..r * stride + q.len()];
+                *o = ops::cosine_finish(ops::dot(q, row), nq, norms[r]);
             }
         }
+        // No AVX-512 twin: the row-pair layout measured within ±8% of
+        // this scan (CHANGES.md, PR 20), under the 10% a third body
+        // has to earn.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::cosine_dist_block(q, data, stride, out) },
+        Kernel::Avx2 | Kernel::Avx512 => unsafe {
+            avx2::cosine_dist_block_normed(q, nq, data, stride, norms, out)
+        },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 | Kernel::Avx512 => {
-            cosine_dist_block_with(Kernel::Scalar, q, data, stride, out)
+            cosine_dist_block_normed_with(Kernel::Scalar, q, nq, data, stride, norms, out)
         }
     }
 }
@@ -543,7 +602,7 @@ mod avx2 {
     //! arbitrary.
 
     use super::Kernel;
-    use crate::ops::{lane_sum, LANES};
+    use crate::ops::{cosine_finish, lane_sum, LANES};
     use std::arch::x86_64::*;
 
     /// Collapse one AVX2 accumulator plus the scalar-tail lanes.
@@ -625,21 +684,6 @@ mod avx2 {
         for k in head..n {
             *py.add(k) += alpha * *px.add(k);
         }
-    }
-
-    /// Mirrors `ops::cosine_dist` exactly: `norm(a)`, `norm(b)`,
-    /// `dot(a, b)`, divide, clamp, `1 −`.
-    ///
-    /// # Safety
-    /// AVX2 must be available; `a.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cosine_dist(a: &[f32], b: &[f32]) -> f32 {
-        let na = dot(a, a).sqrt();
-        let nb = dot(b, b).sqrt();
-        if na == 0.0 || nb == 0.0 {
-            return 1.0;
-        }
-        1.0 - (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
     }
 
     /// Collapse four AVX2 accumulators into four results at once: the
@@ -752,109 +796,91 @@ mod avx2 {
         }
     }
 
-    /// Fused cosine scan: one pass accumulates `dot(q, row)` and
-    /// `dot(row, row)` together; `norm(q)` hoisted (bit-identical to
-    /// recomputing it — it is a pure function of `q`).
+    /// Dots of `q` against four rows at once through the [`reduce4`]
+    /// transposed tree; lane `j` is bit-identical to `dot(q, row_j)`.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `dim` is a multiple of [`LANES`] and
+    /// `dim` floats are readable at `pq` and at each `p[j]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot4(pq: *const f32, p: [*const f32; 4], dim: usize) -> __m128 {
+        let mut a0 = _mm256_setzero_ps();
+        let mut a1 = _mm256_setzero_ps();
+        let mut a2 = _mm256_setzero_ps();
+        let mut a3 = _mm256_setzero_ps();
+        let mut i = 0;
+        while i < dim {
+            let vq = _mm256_loadu_ps(pq.add(i));
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(vq, _mm256_loadu_ps(p[0].add(i))));
+            a1 = _mm256_add_ps(a1, _mm256_mul_ps(vq, _mm256_loadu_ps(p[1].add(i))));
+            a2 = _mm256_add_ps(a2, _mm256_mul_ps(vq, _mm256_loadu_ps(p[2].add(i))));
+            a3 = _mm256_add_ps(a3, _mm256_mul_ps(vq, _mm256_loadu_ps(p[3].add(i))));
+            i += LANES;
+        }
+        reduce4(a0, a1, a2, a3)
+    }
+
+    /// [`cosine_finish`] four rows wide. IEEE `mul`/`div`/`sub` round
+    /// the same in a vector lane as in a scalar register; `max`/`min`
+    /// return their *second* operand when either is NaN, so with the
+    /// bound first a NaN quotient stays NaN as `f32::clamp` leaves it;
+    /// zero-norm lanes blend to 1.0 last (the scalar early return).
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cosine_finish4(dots: __m128, nq: __m128, nr: __m128) -> __m128 {
+        let one = _mm_set1_ps(1.0);
+        let cos = _mm_div_ps(dots, _mm_mul_ps(nq, nr));
+        let cos = _mm_min_ps(one, _mm_max_ps(_mm_set1_ps(-1.0), cos));
+        let zero = _mm_setzero_ps();
+        let zero_norm = _mm_or_ps(_mm_cmpeq_ps(nq, zero), _mm_cmpeq_ps(nr, zero));
+        _mm_blendv_ps(_mm_sub_ps(one, cos), one, zero_norm)
+    }
+
+    /// Normed cosine scan: rows in quads through [`dot4`] with the
+    /// finish four wide (tail-free dims); remainder rows and
+    /// tail-carrying dims take [`dot`] and the scalar finish.
     ///
     /// # Safety
     /// AVX2 must be available; `q.len() <= stride`,
-    /// `data.len() >= out.len() * stride`.
+    /// `data.len() >= out.len() * stride`, `norms.len() == out.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn cosine_dist_block(q: &[f32], data: &[f32], stride: usize, out: &mut [f32]) {
+    pub unsafe fn cosine_dist_block_normed(
+        q: &[f32],
+        nq: f32,
+        data: &[f32],
+        stride: usize,
+        norms: &[f32],
+        out: &mut [f32],
+    ) {
         let dim = q.len();
-        let head = dim - dim % LANES;
-        let nq = dot(q, q).sqrt();
-        let pq = q.as_ptr();
         let pd = data.as_ptr();
         let rows = out.len();
         let mut r = 0;
-        // Quad-row fast path (see `sq_dist_block`): both accumulators
-        // of four rows reduce through the same transposed tree; the
-        // sqrt/divide/clamp finish stays scalar per row, identical to
-        // the single-row path below.
         if dim.is_multiple_of(LANES) && dim > 0 {
+            let vnq = _mm_set1_ps(nq);
             while r + 4 <= rows {
-                let p0 = pd.add(r * stride);
-                let p1 = pd.add((r + 1) * stride);
-                let p2 = pd.add((r + 2) * stride);
-                let p3 = pd.add((r + 3) * stride);
-                let mut dot0 = _mm256_setzero_ps();
-                let mut dot1 = _mm256_setzero_ps();
-                let mut dot2 = _mm256_setzero_ps();
-                let mut dot3 = _mm256_setzero_ps();
-                let mut rr0 = _mm256_setzero_ps();
-                let mut rr1 = _mm256_setzero_ps();
-                let mut rr2 = _mm256_setzero_ps();
-                let mut rr3 = _mm256_setzero_ps();
-                let mut i = 0;
-                while i < head {
-                    let vq = _mm256_loadu_ps(pq.add(i));
-                    let v0 = _mm256_loadu_ps(p0.add(i));
-                    let v1 = _mm256_loadu_ps(p1.add(i));
-                    let v2 = _mm256_loadu_ps(p2.add(i));
-                    let v3 = _mm256_loadu_ps(p3.add(i));
-                    dot0 = _mm256_add_ps(dot0, _mm256_mul_ps(vq, v0));
-                    dot1 = _mm256_add_ps(dot1, _mm256_mul_ps(vq, v1));
-                    dot2 = _mm256_add_ps(dot2, _mm256_mul_ps(vq, v2));
-                    dot3 = _mm256_add_ps(dot3, _mm256_mul_ps(vq, v3));
-                    rr0 = _mm256_add_ps(rr0, _mm256_mul_ps(v0, v0));
-                    rr1 = _mm256_add_ps(rr1, _mm256_mul_ps(v1, v1));
-                    rr2 = _mm256_add_ps(rr2, _mm256_mul_ps(v2, v2));
-                    rr3 = _mm256_add_ps(rr3, _mm256_mul_ps(v3, v3));
-                    i += LANES;
-                }
-                let mut dd = [0.0f32; 4];
-                let mut nn = [0.0f32; 4];
-                _mm_storeu_ps(dd.as_mut_ptr(), reduce4(dot0, dot1, dot2, dot3));
-                _mm_storeu_ps(nn.as_mut_ptr(), reduce4(rr0, rr1, rr2, rr3));
-                for (j, (&d, &rr)) in dd.iter().zip(&nn).enumerate() {
-                    let nr = rr.sqrt();
-                    out[r + j] = if nq == 0.0 || nr == 0.0 {
-                        1.0
-                    } else {
-                        1.0 - (d / (nq * nr)).clamp(-1.0, 1.0)
-                    };
-                }
+                let p = pd.add(r * stride);
+                let rows4 = [p, p.add(stride), p.add(2 * stride), p.add(3 * stride)];
+                let dots = dot4(q.as_ptr(), rows4, dim);
+                let vnr = _mm_loadu_ps(norms.as_ptr().add(r));
+                _mm_storeu_ps(out.as_mut_ptr().add(r), cosine_finish4(dots, vnq, vnr));
                 r += 4;
             }
         }
-        for (r, o) in out.iter_mut().enumerate().skip(r) {
-            let p = pd.add(r * stride);
-            let mut adot = _mm256_setzero_ps();
-            let mut arr = _mm256_setzero_ps();
-            let mut i = 0;
-            while i < head {
-                let vq = _mm256_loadu_ps(pq.add(i));
-                let vr = _mm256_loadu_ps(p.add(i));
-                adot = _mm256_add_ps(adot, _mm256_mul_ps(vq, vr));
-                arr = _mm256_add_ps(arr, _mm256_mul_ps(vr, vr));
-                i += LANES;
-            }
-            let d = reduce(adot, |l| {
-                for k in 0..dim - head {
-                    l[k] += q[head + k] * *p.add(head + k);
-                }
-            });
-            let nr = reduce(arr, |l| {
-                for (k, lane) in l.iter_mut().enumerate().take(dim - head) {
-                    let v = *p.add(head + k);
-                    *lane += v * v;
-                }
-            })
-            .sqrt();
-            *o = if nq == 0.0 || nr == 0.0 {
-                1.0
-            } else {
-                1.0 - (d / (nq * nr)).clamp(-1.0, 1.0)
-            };
+        for j in r..rows {
+            let row = std::slice::from_raw_parts(pd.add(j * stride), dim);
+            out[j] = cosine_finish(dot(q, row), nq, norms[j]);
         }
     }
 
-    /// Gathered quad-dot: the query held in registers, four gathered
-    /// rows dotted per iteration through the [`reduce4`] transposed
-    /// tree (tail-free dims), falling back to per-row [`dot`] otherwise
-    /// — exactly the [`sq_dist_block`] structure with row addresses
-    /// taken from `ids` instead of consecutive.
+    /// Gathered quad-dot: four gathered rows dotted per iteration
+    /// through [`dot4`] (tail-free dims), falling back to per-row
+    /// [`dot`] otherwise — the [`cosine_dist_block_normed`] scan with
+    /// row addresses taken from `ids` instead of consecutive.
     ///
     /// # Safety
     /// AVX2 must be available; `q.len() <= stride`,
@@ -869,31 +895,18 @@ mod avx2 {
         out: &mut [f32],
     ) {
         let dim = q.len();
-        let head = dim - dim % LANES;
-        let pq = q.as_ptr();
         let pd = data.as_ptr();
         let rows = out.len();
         let mut r = 0;
         if dim.is_multiple_of(LANES) && dim > 0 {
             while r + 4 <= rows {
-                let p0 = pd.add(ids[r] * stride);
-                let p1 = pd.add(ids[r + 1] * stride);
-                let p2 = pd.add(ids[r + 2] * stride);
-                let p3 = pd.add(ids[r + 3] * stride);
-                let mut a0 = _mm256_setzero_ps();
-                let mut a1 = _mm256_setzero_ps();
-                let mut a2 = _mm256_setzero_ps();
-                let mut a3 = _mm256_setzero_ps();
-                let mut i = 0;
-                while i < head {
-                    let vq = _mm256_loadu_ps(pq.add(i));
-                    a0 = _mm256_add_ps(a0, _mm256_mul_ps(vq, _mm256_loadu_ps(p0.add(i))));
-                    a1 = _mm256_add_ps(a1, _mm256_mul_ps(vq, _mm256_loadu_ps(p1.add(i))));
-                    a2 = _mm256_add_ps(a2, _mm256_mul_ps(vq, _mm256_loadu_ps(p2.add(i))));
-                    a3 = _mm256_add_ps(a3, _mm256_mul_ps(vq, _mm256_loadu_ps(p3.add(i))));
-                    i += LANES;
-                }
-                _mm_storeu_ps(out.as_mut_ptr().add(r), reduce4(a0, a1, a2, a3));
+                let rows4 = [
+                    pd.add(ids[r] * stride),
+                    pd.add(ids[r + 1] * stride),
+                    pd.add(ids[r + 2] * stride),
+                    pd.add(ids[r + 3] * stride),
+                ];
+                _mm_storeu_ps(out.as_mut_ptr().add(r), dot4(q.as_ptr(), rows4, dim));
                 r += 4;
             }
         }
@@ -1212,6 +1225,13 @@ mod tests {
     fn dispatch_resolves_and_reports() {
         let k = active_kernel();
         assert_eq!(kernel_name(), k.name());
+        // CI runs this with --nocapture so each QUERC_SIMD cell's log
+        // shows the arm it really dispatched to.
+        println!(
+            "QUERC_SIMD={:?} -> kernel arm {}",
+            std::env::var("QUERC_SIMD").ok(),
+            kernel_name()
+        );
         assert_eq!(set_kernel_override(Some(Kernel::Scalar)), Kernel::Scalar);
         let back = set_kernel_override(None);
         assert_eq!(back, active_kernel());

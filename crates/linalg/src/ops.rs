@@ -4,9 +4,9 @@
 //! them: `norm`, `cosine`, `dist`) are **lane-strided**: element `i`
 //! accumulates into lane `i % LANES` and the eight lanes collapse
 //! through the fixed [`lane_sum`] tree. This is the workspace's
-//! *canonical* floating-point summation order — `querc_index::simd`
-//! implements the same kernels with AVX2 intrinsics (one lane per
-//! register slot, the identical reduction tree) and is bit-for-bit
+//! *canonical* floating-point summation order — [`crate::kernel`]
+//! implements the same kernels with AVX2/AVX-512 intrinsics (one lane
+//! per register slot, the identical reduction tree) and is bit-for-bit
 //! interchangeable with these reference loops, which is what lets the
 //! index plane dispatch between scalar and SIMD at runtime without the
 //! choice ever being observable in results. Change a kernel here and
@@ -102,16 +102,21 @@ pub fn dist(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// This is the *single* cosine definition in the workspace —
 /// `querc_index::Metric::Cosine` and every embedder test route through
-/// it (as [`cosine_dist`]), and the SIMD kernels in `querc_index::simd`
+/// it (as [`cosine_dist`]), and the SIMD kernels in [`crate::kernel`]
 /// are bit-for-bit twins of this exact sequence: `norm(a)`, `norm(b)`,
 /// `dot(a, b)`, one divide, one clamp.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
-    let nb = norm(b);
+    cosine_of(dot(a, b), norm(a), norm(b))
+}
+
+/// Cosine similarity from its three reductions — the one place the
+/// zero-norm guard and the clamp are written.
+#[inline]
+fn cosine_of(dot: f32, na: f32, nb: f32) -> f32 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
 /// Cosine **distance** `1 − cosine(a, b)`, in `[0, 2]` — the canonical
@@ -120,7 +125,15 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// denormal components behave like any other finite value.
 #[inline]
 pub fn cosine_dist(a: &[f32], b: &[f32]) -> f32 {
-    1.0 - cosine(a, b)
+    cosine_finish(dot(a, b), norm(a), norm(b))
+}
+
+/// [`cosine_dist`] from already-reduced operands: `1 − clamp(dot / (na ·
+/// nb))`, a zero norm ⇒ exactly `1.0`. Scans that cache `norm(row)` or
+/// hoist `norm(query)` end here, bit-identical to recomputing both.
+#[inline]
+pub fn cosine_finish(dot: f32, na: f32, nb: f32) -> f32 {
+    1.0 - cosine_of(dot, na, nb)
 }
 
 /// Normalize `x` to unit L2 norm in place; leaves zero vectors untouched.

@@ -321,7 +321,8 @@ const SQ8_RECALL_FLOOR: f64 = 0.95;
 /// tests bound the per-distance error; this checks end-to-end ranking
 /// on real embedded SQL).
 fn sq8_recall_gate(corpus: &TrainCorpus, embedder: &Arc<dyn Embedder>) {
-    use querc_index::{simd, FlatIndex, Metric, Sq8Config, Sq8Index, VectorIndex};
+    use querc_index::{FlatIndex, Metric, Sq8Config, Sq8Index, VectorIndex};
+    use querc_linalg::kernel;
     const K: usize = 10;
 
     let vectors: Vec<Vec<f32>> = corpus
@@ -357,7 +358,7 @@ fn sq8_recall_gate(corpus: &TrainCorpus, embedder: &Arc<dyn Embedder>) {
         "\nsq8 recall gate: {} embedded templates, {} probes, kernel={}",
         vectors.len(),
         probes.len(),
-        simd::kernel_name()
+        kernel::kernel_name()
     );
     let reranked = Sq8Index::from_rows(
         &vectors,

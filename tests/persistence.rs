@@ -436,6 +436,103 @@ fn sq8_knn_deployments_round_trip_bit_identical() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The registry `Knn(k=5, cosine)` labeler caches its row norms at fit;
+/// they are derived state, never persisted, and a restore rebuilds
+/// them from the rows — so the restored deployment must return the
+/// same neighbors at the same distances, bit for bit, as the fitted
+/// one and as the `ops::cosine_dist` brute force.
+#[test]
+fn cosine_knn_deployment_restores_bit_identical_hits_and_distances() {
+    use querc_learn::{Classifier, ClassifierState, Knn, KnnMetric, KnnState};
+
+    let path = snapshot_path("cosine_knn");
+    let records = training_records();
+    let embedder: Arc<dyn Embedder> = Arc::new(BagOfTokens::new(64, true));
+    let vectors: Vec<Vec<f32>> = records.iter().map(|r| embedder.embed_sql(&r.sql)).collect();
+    let labels: Vec<&str> = records.iter().map(|r| r.user.as_str()).collect();
+
+    let mgr = WorkloadManager::new(WorkloadManagerConfig::default());
+    let labeler = TrainedLabeler::train(
+        Knn::new(5, KnnMetric::Cosine),
+        &vectors,
+        &labels,
+        &mut Pcg32::new(0x508),
+    );
+    mgr.registry().deploy(
+        "account",
+        QueryClassifier::new("account", Arc::clone(&embedder), labeler),
+    );
+    mgr.checkpoint(&path).unwrap();
+
+    let knn_state = |m: &WorkloadManager| -> KnnState {
+        let clf = m.registry().get("account").unwrap();
+        match clf.labeler().export_state().unwrap().classifier {
+            ClassifierState::Knn(state) => state,
+            other => panic!("expected a kNN state, got {other:?}"),
+        }
+    };
+    let fitted_state = knn_state(&mgr);
+    let before_labels: Vec<String> = {
+        let clf = mgr.registry().get("account").unwrap();
+        (0..32u64)
+            .map(|i| clf.label_sql(&query_for(i).sql))
+            .collect()
+    };
+    drop(mgr.drain());
+
+    let restored = WorkloadManager::restore(&path, WorkloadManagerConfig::default()).unwrap();
+    let restored_state = knn_state(&restored);
+    assert_eq!(restored_state, fitted_state, "snapshot state round-trips");
+    // Exhaustive destructuring: a new `KnnState` field (say, persisted
+    // norms) fails to compile here.
+    let KnnState {
+        k,
+        cosine,
+        n_classes: _,
+        y,
+        dim,
+        rows,
+        ivf,
+        nprobe: _,
+        centroids,
+        lists,
+        sq8,
+        rerank: _,
+        qmin,
+        qstep,
+        codes,
+    } = restored_state.clone();
+    assert!(cosine && !ivf && !sq8 && k == 5);
+    assert_eq!(rows.len(), y.len() * dim, "rows only — no norms persisted");
+    assert!(centroids.is_empty() && lists.is_empty());
+    assert!(qmin.is_empty() && qstep.is_empty() && codes.is_empty());
+
+    let fitted = Knn::from_state(fitted_state).unwrap();
+    let rebuilt = Knn::from_state(restored_state).unwrap();
+    let clf = restored.registry().get("account").unwrap();
+    for i in 0..32u64 {
+        let sql = query_for(i).sql;
+        let q = embedder.embed_sql(&sql);
+        let want = fitted.index().unwrap().search(&q, 5);
+        let got = rebuilt.index().unwrap().search(&q, 5);
+        let mut brute: Vec<(u32, f32)> = vectors
+            .iter()
+            .enumerate()
+            .map(|(id, row)| (id as u32, querc_linalg::ops::cosine_dist(&q, row)))
+            .collect();
+        brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        assert_eq!(got.len(), 5);
+        for ((g, w), b) in got.iter().zip(&want).zip(&brute) {
+            assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()), "query {i}");
+            assert_eq!((g.0, g.1.to_bits()), (b.0, b.1.to_bits()), "query {i}");
+        }
+        assert_eq!(clf.label_sql(&sql), before_labels[i as usize]);
+        assert_eq!(rebuilt.predict(&q), fitted.predict(&q));
+    }
+    drop(restored.drain());
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn corrupted_and_truncated_snapshots_report_corrupt_never_panic() {
     let path = snapshot_path("corrupt");

@@ -18,11 +18,11 @@
 //! * `Sq8Index` with re-ranking holds recall@10 ≥ 0.95 on the same
 //!   clustered regime at a fraction of flat's resident bytes.
 
-use querc_index::simd::{self, Kernel};
 use querc_index::{
     FlatIndex, IvfConfig, IvfIndex, Metric, Sq8Config, Sq8Index, VectorIndex, VectorStore,
 };
 use querc_learn::{Classifier, Knn, KnnMetric};
+use querc_linalg::kernel::{self, Kernel};
 use querc_linalg::{ops, Pcg32};
 
 /// Gaussian blobs around `centers` — clustered data, IVF's target
@@ -227,8 +227,11 @@ fn kernel_arms_agree_on_every_backend_top_k() {
     let corpus = blobs(100, 8, 20, 0x51d3); // dim 20: tail residue 4
     let store = VectorStore::from_rows(&corpus);
     let mut arms = vec![Kernel::Scalar];
-    if matches!(simd::active_kernel(), Kernel::Avx2) {
+    if kernel::avx2_available() {
         arms.push(Kernel::Avx2);
+    }
+    if kernel::avx512_available() {
+        arms.push(Kernel::Avx512);
     }
     let mut rng = Pcg32::new(11);
     let queries: Vec<Vec<f32>> = (0..30)
@@ -260,7 +263,7 @@ fn kernel_arms_agree_on_every_backend_top_k() {
         for (tag, ix) in indexes {
             let mut per_arm: Vec<Vec<Vec<(u32, u32)>>> = Vec::new();
             for &arm in &arms {
-                let prev = simd::set_kernel_override(Some(arm));
+                let prev = kernel::set_kernel_override(Some(arm));
                 assert_eq!(prev, arm, "override must force the requested arm");
                 per_arm.push(
                     queries
@@ -273,7 +276,7 @@ fn kernel_arms_agree_on_every_backend_top_k() {
                         })
                         .collect(),
                 );
-                simd::set_kernel_override(None);
+                kernel::set_kernel_override(None);
             }
             for other in &per_arm[1..] {
                 assert_eq!(
