@@ -14,26 +14,13 @@ use querc_linalg::{kernel, ops, ComputePool, Pcg32};
 
 /// Index of the centroid nearest `point` (squared Euclidean distance) —
 /// the assignment step shared by every serving path that maps a fresh
-/// query onto a trained clustering.
-///
-/// **Empty-set contract:** returns `0` when `centroids` is empty — a
-/// sentinel that is *not* a valid index. Callers that can be handed an
-/// empty set should use [`try_nearest_centroid`], which makes the case
-/// explicit; this wrapper exists for the serving paths where a trained
-/// model guarantees at least one centroid.
+/// query onto a trained clustering — or `None` when `centroids` is
+/// empty.
 ///
 /// Ties resolve to the lowest centroid index, and a NaN distance never
 /// beats a finite one (`total_cmp` order, matching `ops::argmin`).
-pub fn nearest_centroid(point: &[f32], centroids: &[Vec<f32>]) -> usize {
-    try_nearest_centroid(point, centroids).unwrap_or(0)
-}
-
-/// [`nearest_centroid`] with the empty case surfaced: `None` when
-/// `centroids` is empty, otherwise `Some(index of the nearest
-/// centroid)` under the same deterministic tie-break (lowest index
-/// wins; NaN distances rank last). Allocation-free: this is the
-/// per-point assignment primitive, called in a loop by every serving
-/// path.
+/// Allocation-free: this is the per-point assignment primitive, called
+/// in a loop by every serving path.
 pub fn try_nearest_centroid(point: &[f32], centroids: &[Vec<f32>]) -> Option<usize> {
     let kern = kernel::active_kernel();
     let mut best: Option<(usize, f32)> = None;
@@ -489,13 +476,12 @@ mod tests {
     fn nearest_centroid_contract() {
         let cents = vec![vec![0.0, 0.0], vec![5.0, 5.0], vec![5.0, 5.0]];
         // Nearest by distance.
-        assert_eq!(nearest_centroid(&[4.9, 5.2], &cents), 1);
+        assert_eq!(try_nearest_centroid(&[4.9, 5.2], &cents), Some(1));
         assert_eq!(try_nearest_centroid(&[0.1, -0.1], &cents), Some(0));
         // Duplicate centroids tie → lowest index, deterministically.
         assert_eq!(try_nearest_centroid(&[6.0, 6.0], &cents), Some(1));
-        // Empty set: explicit None vs the documented 0 sentinel.
+        // Empty set: an explicit None.
         assert_eq!(try_nearest_centroid(&[1.0], &[]), None);
-        assert_eq!(nearest_centroid(&[1.0], &[]), 0);
         // NaN point: no panic, a deterministic (first) index comes back.
         assert_eq!(try_nearest_centroid(&[f32::NAN, 0.0], &cents), Some(0));
     }

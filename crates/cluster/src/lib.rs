@@ -16,6 +16,6 @@ pub mod kmedoids;
 pub mod silhouette;
 
 pub use elbow::{choose_k_elbow, sse_curve};
-pub use kmeans::{kmeans, nearest_centroid, try_nearest_centroid, KMeansConfig, KMeansResult};
+pub use kmeans::{kmeans, try_nearest_centroid, KMeansConfig, KMeansResult};
 pub use kmedoids::{kmedoids, KMedoidsResult};
 pub use silhouette::mean_silhouette;

@@ -105,8 +105,9 @@ impl QueryRecommender {
 
     /// Cluster id of a precomputed embedding vector — shared by the
     /// SQL-level, batched, and serving paths. A k=1 search of the
-    /// centroid index, bit-identical to the old `nearest_centroid`
-    /// linear scan (a trained model always has ≥ 1 centroid).
+    /// centroid index, bit-identical to a
+    /// `querc_cluster::try_nearest_centroid` linear scan (a trained
+    /// model always has ≥ 1 centroid).
     pub fn cluster_of_vector(&self, v: &[f32]) -> usize {
         self.centroids.nearest(v).unwrap_or(0) as usize
     }

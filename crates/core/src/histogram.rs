@@ -107,23 +107,6 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Fold another histogram's counts into this one (used to carry a
-    /// retired app generation's latency over a re-registration).
-    pub fn absorb(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_us
-            .fetch_add(other.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_us
-            .fetch_max(other.max_us.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Approximate value (µs, bucket floor) at quantile `q` ∈ [0, 1].
     /// Returns 0 for an empty histogram.
     pub fn quantile_us(&self, q: f64) -> u64 {
@@ -238,22 +221,6 @@ mod tests {
     fn empty_histogram_reports_zeros() {
         let h = LatencyHistogram::new();
         assert_eq!(h.snapshot(), LatencySnapshot::default());
-    }
-
-    #[test]
-    fn absorb_merges_counts() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        for us in [10u64, 20, 30] {
-            a.record_us(us);
-        }
-        for us in [1_000u64, 2_000] {
-            b.record_us(us);
-        }
-        a.absorb(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count, 5);
-        assert!(snap.max_us >= 2_000);
     }
 
     #[test]

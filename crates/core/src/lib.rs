@@ -98,7 +98,7 @@ pub use qos::{
 pub use qworker::{Qworker, QworkerMode, TimedQuery};
 pub use registry::{ModelRegistry, RegistryEvent};
 pub use service::{
-    lineage_routing_key, routing_key, shard_for, AppThroughput, FittedApp, KernelPolicy,
-    RoutingPolicy, ServiceDrain, WorkloadManager, WorkloadManagerConfig,
+    lineage_routing_key, routing_key, shard_for, AppThroughput, FittedApp, RoutingPolicy,
+    ServiceDrain, WorkloadManager, WorkloadManagerConfig,
 };
 pub use training::{EmbedderKind, TrainingConfig, TrainingModule};

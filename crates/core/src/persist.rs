@@ -1,6 +1,8 @@
-//! Persistence-plane glue: the section payloads stored inside a
-//! `querc-persist` snapshot, and the shared validation helpers restore
-//! paths use.
+//! The snapshot format of a [`WorkloadManager`]: the checkpoint, delta
+//! and restore paths behind its public `checkpoint`,
+//! `checkpoint_delta` and `restore`, the section payloads stored inside
+//! a `querc-persist` snapshot, and the shared validation helpers
+//! restore paths use. Every section name is spelled in this module.
 //!
 //! QUERCSNAP v2 sections (see ARCHITECTURE.md for the table):
 //!
@@ -25,10 +27,13 @@ use crate::apps::{
 };
 use crate::classifier::LabelerState;
 use crate::error::{QuercError, Result};
+use crate::qos::TenantPolicy;
 use crate::registry::RegistryEvent;
+use crate::service::{FittedApp, WorkloadManager, WorkloadManagerConfig};
 use querc_embed::Embedder;
 use querc_learn::{ClassifierState, ForestState, TreeState};
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Build a [`QuercError::Corrupt`] with a formatted detail message.
@@ -356,6 +361,248 @@ pub(crate) fn restore_app(
         "summarize" => Box::new(SummarizeApp::new(embedder)),
         other => return Err(corrupt(format!("unknown app in snapshot: {other:?}"))),
     })
+}
+
+/// The bodies behind [`WorkloadManager::checkpoint`],
+/// [`WorkloadManager::checkpoint_delta`] and [`WorkloadManager::restore`].
+impl WorkloadManager {
+    pub(crate) fn write_checkpoint(&self, path: impl AsRef<Path>) -> Result<()> {
+        use crate::persist::{self, AppState, DeploymentState, ManifestState, RegistryState};
+        let encode_failed = || persist::corrupt("snapshot payload failed to serialize");
+
+        let mut snap = querc_persist::Snapshot::new();
+        // Each distinct embedder is exported once, into a section of its
+        // own that apps and deployments name by cache namespace.
+        let mut embedders = persist::EmbedderSections::default();
+
+        let mut deployments = Vec::new();
+        for name in self.registry.names() {
+            let Some(classifier) = self.registry.get(&name) else {
+                continue;
+            };
+            let Some(version) = self.registry.version(&name) else {
+                continue;
+            };
+            let Some(labeler) = classifier.labeler().export_state() else {
+                continue;
+            };
+            let Some(embedder) = embedders.add(&mut snap, classifier.embedder().as_ref()) else {
+                continue;
+            };
+            deployments.push(DeploymentState {
+                name,
+                version,
+                label_name: classifier.label_name.clone(),
+                embedder,
+                labeler,
+            });
+        }
+        let registry = RegistryState {
+            events: self.registry.history(),
+            deployments,
+        };
+
+        let mut app_names = Vec::new();
+        for (name, entry) in &self.apps {
+            let Some(embedder) = &entry.embedder else {
+                continue;
+            };
+            let Some(model) = entry.fitted.save_model() else {
+                continue;
+            };
+            let Some(embedder) = embedders.add(&mut snap, embedder.as_ref()) else {
+                continue;
+            };
+            let header = AppState {
+                app: name.clone(),
+                embedder,
+            };
+            snap.add_section(
+                &format!("app:{name}"),
+                persist::to_json(&header).ok_or_else(encode_failed)?,
+            );
+            // The model is opaque text: stored as the section's bytes,
+            // not escaped into the header's JSON.
+            snap.add_section(&persist::model_section(name), model);
+            app_names.push(name.clone());
+        }
+
+        let manifest = ManifestState {
+            apps: app_names,
+            classifiers: registry
+                .deployments
+                .iter()
+                .map(|d| d.name.clone())
+                .collect(),
+        };
+        snap.add_section(
+            "manifest",
+            persist::to_json(&manifest).ok_or_else(encode_failed)?,
+        );
+        snap.add_section(
+            "registry",
+            persist::to_json(&registry).ok_or_else(encode_failed)?,
+        );
+
+        let cache_entries = self.plane.as_ref().map(|p| p.export()).unwrap_or_default();
+        snap.add_section("embed_cache", persist::encode_embed_cache(&cache_entries));
+
+        // Tenant policy overrides, written only when QoS is live; a
+        // snapshot without the section restores with none to apply.
+        if let Some(qos) = &self.qos {
+            let state = persist::QosSectionState {
+                policies: qos
+                    .policies()
+                    .into_iter()
+                    .map(|(tenant, p)| persist::QosPolicyState {
+                        tenant,
+                        weight: p.weight,
+                        rate_per_sec: p.rate.map(|r| r.rate_per_sec),
+                        burst: p.rate.map(|r| r.burst),
+                    })
+                    .collect(),
+            };
+            snap.add_section("qos", persist::to_json(&state).ok_or_else(encode_failed)?);
+        }
+        snap.write_to(path)?;
+
+        // A full snapshot resets the delta baseline: only keys cached
+        // after this point belong in the next checkpoint_delta.
+        let mut keys = self.persisted_keys.lock();
+        keys.clear();
+        keys.extend(cache_entries.iter().map(|(ns, fp, _)| (*ns, *fp)));
+        Ok(())
+    }
+
+    pub(crate) fn append_checkpoint_delta(&self, path: impl AsRef<Path>) -> Result<()> {
+        use crate::persist;
+        let mut keys = self.persisted_keys.lock();
+        let fresh: Vec<(u64, u64, Vec<f32>)> = self
+            .plane
+            .as_ref()
+            .map(|p| p.export())
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|(ns, fp, _)| !keys.contains(&(*ns, *fp)))
+            .collect();
+        if fresh.is_empty() {
+            return Ok(());
+        }
+        querc_persist::append_to(
+            path,
+            &[(
+                "embed_cache_delta".to_string(),
+                persist::encode_embed_cache(&fresh),
+            )],
+        )?;
+        keys.extend(fresh.iter().map(|(ns, fp, _)| (*ns, *fp)));
+        Ok(())
+    }
+
+    pub(crate) fn restore_checkpoint(
+        path: impl AsRef<Path>,
+        cfg: WorkloadManagerConfig,
+    ) -> Result<WorkloadManager> {
+        use crate::classifier::{QueryClassifier, TrainedLabeler};
+        use crate::persist::{self, AppState, EmbedderCache, ManifestState, RegistryState};
+
+        let reader = querc_persist::SnapshotReader::open(path)?;
+        let manifest: ManifestState = persist::json_section(&reader, "manifest")?
+            .ok_or_else(|| persist::corrupt("snapshot has no manifest section"))?;
+
+        let mut mgr = WorkloadManager::new(cfg);
+        let mut embedders = EmbedderCache::default();
+
+        // Tenant QoS policies, when the new process runs with QoS on and
+        // the snapshot carries the section. A snapshot written with QoS
+        // off simply has none to apply; a QoS snapshot restored into a
+        // QoS-disabled config ignores them — both directions interop.
+        let policies: Option<persist::QosSectionState> = persist::json_section(&reader, "qos")?;
+        if let (Some(qos), Some(state)) = (&mgr.qos, policies) {
+            for p in state.policies {
+                let rate = match (p.rate_per_sec, p.burst) {
+                    (Some(rate_per_sec), Some(burst)) => Some(crate::qos::RateLimit {
+                        rate_per_sec,
+                        burst,
+                    }),
+                    (None, None) => None,
+                    _ => {
+                        return Err(persist::corrupt(format!(
+                            "qos policy for {:?} has half a rate limit",
+                            p.tenant
+                        )))
+                    }
+                };
+                qos.set_policy(
+                    &p.tenant,
+                    TenantPolicy {
+                        weight: p.weight,
+                        rate,
+                    },
+                );
+            }
+        }
+
+        // Registry first: register_fitted validates `attach_labels`
+        // against it, so deployments must be live before any app is.
+        let registry: Option<RegistryState> = persist::json_section(&reader, "registry")?;
+        if let Some(state) = registry {
+            for d in state.deployments {
+                let embedder = embedders.restore(&reader, d.embedder)?;
+                let labeler = TrainedLabeler::from_state(d.labeler)?;
+                if labeler.dim() != embedder.dim() {
+                    return Err(persist::corrupt(format!(
+                        "classifier {:?}: labeler dim {} but embedder dim {}",
+                        d.name,
+                        labeler.dim(),
+                        embedder.dim()
+                    )));
+                }
+                let classifier = QueryClassifier::new(d.label_name, embedder, labeler);
+                mgr.registry
+                    .restore_deployment(&d.name, d.version, classifier);
+            }
+            mgr.registry.restore_history(state.events);
+        }
+
+        for name in &manifest.apps {
+            let section = format!("app:{name}");
+            let state: AppState = persist::json_section(&reader, &section)?.ok_or_else(|| {
+                persist::corrupt(format!(
+                    "manifest lists {section:?} but the section is missing"
+                ))
+            })?;
+            if state.app != *name {
+                return Err(persist::corrupt(format!(
+                    "section {section:?} claims to be app {:?}",
+                    state.app
+                )));
+            }
+            let embedder = embedders.restore(&reader, state.embedder)?;
+            let app = persist::restore_app(name, embedder)?;
+            let model = persist::section_text(&reader, &persist::model_section(name))?;
+            let model = app.load_model_dyn(model)?;
+            mgr.register_fitted(Arc::new(FittedApp::from_parts(app, model)))?;
+        }
+
+        // Cache warming last: full-snapshot entries first, then deltas
+        // in append order, so insertion order reproduces recency and an
+        // undersized new cache keeps the hottest tail.
+        if let Some(plane) = &mgr.plane {
+            let mut restored: Vec<(u64, u64, Vec<f32>)> = Vec::new();
+            for name in ["embed_cache", "embed_cache_delta"] {
+                for bytes in reader.sections(name) {
+                    persist::decode_embed_cache(bytes, name, &mut restored)?;
+                }
+            }
+            {
+                let mut keys = mgr.persisted_keys.lock();
+                keys.extend(restored.iter().map(|(ns, fp, _)| (*ns, *fp)));
+            }
+            plane.preload(restored);
+        }
+        Ok(mgr)
+    }
 }
 
 #[cfg(test)]

@@ -216,10 +216,6 @@ pub struct WorkloadManagerConfig {
     /// `submit`/`submit_batch` block until the shard catches up —
     /// backpressure instead of unbounded memory growth.
     pub queue_depth: usize,
-    /// Inline (forward to database sink) or Forked (training mirror
-    /// only); the manager's output collection uses the database sink, so
-    /// Inline is the default.
-    pub mode: QworkerMode,
     /// Registry classifier names every Qworker additionally attaches
     /// (as `predicted_<label>`). Validated against the registry at
     /// registration time, then re-resolved **once per chunk** while
@@ -242,82 +238,31 @@ pub struct WorkloadManagerConfig {
     /// generous; an undersized cache still serves correctly, it just
     /// evicts (watch [`EmbedCacheStats::evictions`]).
     pub embed_cache_capacity: usize,
-    /// Lock shards of the embed cache (contention knob; ≥ 1 enforced).
-    pub embed_cache_shards: usize,
     /// Multi-tenant QoS knobs (see [`crate::qos`]). Disabled by default;
     /// when enabled, submissions pass per-tenant token-bucket admission
     /// control, shard workers dequeue by deficit round robin across
     /// per-tenant subqueues, and overload sheds with
     /// [`QuercError::Rejected`] instead of blocking the producer.
     pub qos: QosConfig,
-    /// Distance-kernel arm policy for the vector search plane. Applied
-    /// **process-wide** at [`WorkloadManager::new`] (the `querc_index`
-    /// kernel dispatch is a process global); safe even with other
-    /// managers alive because the arms are bit-identical — the knob
-    /// changes throughput, never results.
-    pub kernel: KernelPolicy,
     /// Worker threads for the training/fit compute pool
     /// (`querc_linalg::ComputePool`). `None` keeps the ambient
     /// resolution — a `QUERC_THREADS` env override if set, otherwise the
     /// detected core count; `Some(n)` pins `n` **process-wide** at
-    /// [`WorkloadManager::new`], like [`KernelPolicy`]. Every fit path
-    /// folds parallel work in a fixed order, so this knob changes
-    /// wall-clock, never model bits.
+    /// [`WorkloadManager::new`]. Every fit path folds parallel work in a
+    /// fixed order, so this knob changes wall-clock, never model bits.
     pub training_threads: Option<usize>,
-}
-
-/// Which [`querc_index`] distance-kernel arm a manager's process runs.
-///
-/// `Auto` is right for serving; `ForceScalar` exists for benchmarking
-/// the SIMD speedup and for ruling the AVX2 arm out when debugging
-/// (results are bit-identical either way, by the index plane's parity
-/// contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
-    /// CPU detection, honoring a `QUERC_SIMD` env override: AVX2 when
-    /// the CPU has it, the scalar reference otherwise.
-    #[default]
-    Auto,
-    /// Pin the scalar reference loops, ignoring CPU and env.
-    ForceScalar,
-    /// Request the AVX2 arm regardless of `QUERC_SIMD`; still falls
-    /// back to scalar on a CPU without AVX2.
-    ForceAvx2,
-    /// Request the AVX-512 row-pair arm regardless of `QUERC_SIMD`;
-    /// still degrades to AVX2 / scalar on a CPU without it.
-    ForceAvx512,
-}
-
-impl KernelPolicy {
-    /// Apply this policy to the process-wide kernel dispatch and return
-    /// the name of the now-active arm (`"avx512"` / `"avx2"` /
-    /// `"scalar"`).
-    pub fn apply(self) -> &'static str {
-        use querc_linalg::kernel::{set_kernel_override, Kernel};
-        let kernel = match self {
-            KernelPolicy::Auto => None,
-            KernelPolicy::ForceScalar => Some(Kernel::Scalar),
-            KernelPolicy::ForceAvx2 => Some(Kernel::Avx2),
-            KernelPolicy::ForceAvx512 => Some(Kernel::Avx512),
-        };
-        set_kernel_override(kernel).name()
-    }
 }
 
 impl Default for WorkloadManagerConfig {
     fn default() -> Self {
-        let plane = EmbedPlaneConfig::default();
         WorkloadManagerConfig {
             shards_per_app: 2,
             routing: RoutingPolicy::default(),
             batch: 32,
             queue_depth: 1024,
-            mode: QworkerMode::Inline,
             attach_labels: Vec::new(),
-            embed_cache_capacity: plane.capacity,
-            embed_cache_shards: plane.shards,
+            embed_cache_capacity: EmbedPlaneConfig::default().capacity,
             qos: QosConfig::default(),
-            kernel: KernelPolicy::default(),
             training_threads: None,
         }
     }
@@ -401,20 +346,54 @@ impl AppThroughput {
     }
 }
 
-struct AppEntry {
-    fitted: Arc<FittedApp>,
+/// One registered app: its current model generation (fitted model,
+/// shards, workers) and the state that outlives generations.
+pub(crate) struct AppEntry {
+    pub(crate) fitted: Arc<FittedApp>,
     /// The app's serving embedder — what ingress enrichment embeds
     /// through. `None` opts the app out of ingress embedding.
-    embedder: Option<Arc<dyn Embedder>>,
+    pub(crate) embedder: Option<Arc<dyn Embedder>>,
     /// One bounded sender per shard, indexed by [`shard_for`] of the
-    /// entry's routing-policy key.
+    /// configured routing-policy key.
     shards: Vec<Sender<TimedQuery>>,
-    /// Shard-selection policy, frozen from the manager config at
-    /// registration time.
-    routing: RoutingPolicy,
-    output_rx: Receiver<LabeledQuery>,
-    trainer_rx: Receiver<LabeledQuery>,
     workers: Vec<JoinHandle<usize>>,
+    lanes: AppLanes,
+}
+
+impl AppEntry {
+    /// Close this generation's shards and join its workers: afterwards
+    /// everything they accepted is labeled and on the app's lanes.
+    fn retire(&mut self) {
+        self.shards.clear();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+
+    /// The app's stats as of now; index counters are those of the
+    /// current model generation.
+    fn throughput(&self, app: &str) -> AppThroughput {
+        let c = &self.lanes.counters;
+        AppThroughput {
+            app: app.to_string(),
+            submitted: c.submitted.load(Ordering::Relaxed),
+            processed: c.processed.load(Ordering::Relaxed),
+            rejected: c.rejected.load(Ordering::Relaxed),
+            cache_hits: c.cache_hits.load(Ordering::Relaxed),
+            cache_misses: c.cache_misses.load(Ordering::Relaxed),
+            latency: self.lanes.latency.snapshot(),
+            index: self.fitted.index_stats(),
+        }
+    }
+}
+
+/// An app's output and training channels, counters and latency
+/// histogram: created at its first registration and handed to every
+/// later generation's workers, so a redeploy neither drops nor reorders
+/// what the old generation labeled.
+struct AppLanes {
+    output: (Sender<LabeledQuery>, Receiver<LabeledQuery>),
+    training: (Sender<LabeledQuery>, Receiver<LabeledQuery>),
     counters: Arc<AppCounters>,
     latency: Arc<LatencyHistogram>,
 }
@@ -438,49 +417,33 @@ pub struct ServiceDrain {
     pub qos: QosDrain,
 }
 
-/// Labeled queries and counters recovered from a replaced app's
-/// generation, merged back in at [`WorkloadManager::drain`].
-#[derive(Default)]
-struct Carryover {
-    outputs: Vec<LabeledQuery>,
-    training: Vec<LabeledQuery>,
-    submitted: u64,
-    processed: u64,
-    rejected: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    latency: LatencyHistogram,
-}
-
 /// The batched, replicated serving façade over all registered apps.
 pub struct WorkloadManager {
-    registry: Arc<ModelRegistry>,
+    pub(crate) registry: Arc<ModelRegistry>,
     /// The shared ingress embed plane; `None` when disabled by config.
-    plane: Option<Arc<EmbedPlane>>,
+    pub(crate) plane: Option<Arc<EmbedPlane>>,
     /// Per-tenant QoS state shared with every shard worker; `None` when
     /// QoS is disabled by config.
-    qos: Option<Arc<QosState>>,
-    apps: BTreeMap<String, AppEntry>,
-    carryover: BTreeMap<String, Carryover>,
+    pub(crate) qos: Option<Arc<QosState>>,
+    pub(crate) apps: BTreeMap<String, AppEntry>,
     cfg: WorkloadManagerConfig,
     /// `(namespace, fingerprint)` cache keys already captured by the
     /// last full [`WorkloadManager::checkpoint`] (or appended by a
     /// [`WorkloadManager::checkpoint_delta`]) — what makes deltas
     /// incremental instead of rewriting the warm set every time.
-    persisted_keys: Mutex<HashSet<(u64, u64)>>,
+    pub(crate) persisted_keys: Mutex<HashSet<(u64, u64)>>,
 }
 
 impl WorkloadManager {
     /// An empty manager (no apps registered) with the given knobs.
     pub fn new(cfg: WorkloadManagerConfig) -> WorkloadManager {
-        cfg.kernel.apply();
         if cfg.training_threads.is_some() {
             querc_linalg::pool::set_training_threads(cfg.training_threads);
         }
         let plane = (cfg.embed_cache_capacity > 0).then(|| {
             Arc::new(EmbedPlane::new(&EmbedPlaneConfig {
                 capacity: cfg.embed_cache_capacity,
-                shards: cfg.embed_cache_shards,
+                ..EmbedPlaneConfig::default()
             }))
         });
         let qos = cfg.qos.enabled.then(|| Arc::new(QosState::new(&cfg.qos)));
@@ -489,7 +452,6 @@ impl WorkloadManager {
             plane,
             qos,
             apps: BTreeMap::new(),
-            carryover: BTreeMap::new(),
             cfg,
             persisted_keys: Mutex::new(HashSet::new()),
         }
@@ -510,12 +472,13 @@ impl WorkloadManager {
     /// Fit `app` on `corpus`, then spawn its shard workers. Returns the
     /// fitted model's report.
     ///
-    /// Registering a name twice replaces the previous app: its shards
-    /// are closed, its workers drain and join, and everything they
-    /// already labeled (outputs, training mirror, counters, latency)
-    /// is carried over into the eventual [`WorkloadManager::drain`] —
-    /// queries accepted by `submit` are never silently dropped by a
-    /// redeploy.
+    /// Registering a name twice replaces the previous app's model: its
+    /// shards are closed and its workers drain and join before the new
+    /// generation's workers start on the same output and training
+    /// channels, counters and latency histogram. Queries accepted by
+    /// `submit` are never silently dropped by a redeploy, and every
+    /// query the old generation labeled precedes every one the new
+    /// generation labels in [`WorkloadManager::drain`]'s outputs.
     pub fn register<A: WorkloadApp + 'static>(
         &mut self,
         app: A,
@@ -539,25 +502,21 @@ impl WorkloadManager {
         }
 
         // Retire the previous generation (if any) BEFORE spawning the new
-        // one, preserving its in-flight work.
-        if let Some(old) = self.apps.remove(&name) {
-            let retired = Self::shut_down(old);
-            let slot = self.carryover.entry(name.clone()).or_default();
-            slot.outputs.extend(retired.outputs);
-            slot.training.extend(retired.training);
-            slot.submitted += retired.submitted;
-            slot.processed += retired.processed;
-            slot.rejected += retired.rejected;
-            slot.cache_hits += retired.cache_hits;
-            slot.cache_misses += retired.cache_misses;
-            slot.latency.absorb(&retired.latency);
-        }
+        // one: its workers join here, so everything it labeled is on the
+        // lanes ahead of anything the new generation labels.
+        let lanes = match self.apps.remove(&name) {
+            Some(mut old) => {
+                old.retire();
+                old.lanes
+            }
+            None => AppLanes {
+                output: unbounded(),
+                training: unbounded(),
+                counters: Arc::new(AppCounters::default()),
+                latency: Arc::new(LatencyHistogram::new()),
+            },
+        };
 
-        let (out_tx, out_rx) = unbounded();
-        let (tr_tx, tr_rx) = unbounded();
-        let counters = Arc::new(AppCounters::default());
-        let latency = Arc::new(LatencyHistogram::new());
-        let embedder = fitted.embedder();
         let mut shards = Vec::new();
         let mut workers = Vec::new();
         for _ in 0..self.cfg.shards_per_app.max(1) {
@@ -565,17 +524,17 @@ impl WorkloadManager {
             // shard: FIFO consumption is what makes hash routing an
             // ordering guarantee rather than a load-balancing heuristic.
             let (in_tx, in_rx) = bounded(self.cfg.queue_depth.max(1));
-            let mut worker = Qworker::new(name.clone(), Vec::new(), self.cfg.mode)
+            let mut worker = Qworker::new(name.clone(), Vec::new(), QworkerMode::Inline)
                 .with_registry(Arc::clone(&self.registry), self.cfg.attach_labels.clone())
                 .with_app(Arc::clone(&fitted))
                 .with_batch(self.cfg.batch)
-                .with_counter(Arc::clone(&counters))
-                .with_histogram(Arc::clone(&latency));
+                .with_counter(Arc::clone(&lanes.counters))
+                .with_histogram(Arc::clone(&lanes.latency));
             if let Some(qos) = &self.qos {
                 worker = worker.with_qos(Arc::clone(qos));
             }
-            let db = out_tx.clone();
-            let tr = tr_tx.clone();
+            let db = lanes.output.0.clone();
+            let tr = lanes.training.0.clone();
             shards.push(in_tx);
             workers.push(std::thread::spawn(move || worker.run_timed(in_rx, db, tr)));
         }
@@ -583,39 +542,14 @@ impl WorkloadManager {
         self.apps.insert(
             name,
             AppEntry {
+                embedder: fitted.embedder(),
                 fitted,
-                embedder,
                 shards,
-                routing: self.cfg.routing,
-                output_rx: out_rx,
-                trainer_rx: tr_rx,
                 workers,
-                counters,
-                latency,
+                lanes,
             },
         );
         Ok(report)
-    }
-
-    /// Close an entry's shards, join its workers, and collect everything
-    /// they produced.
-    fn shut_down(entry: AppEntry) -> Carryover {
-        drop(entry.shards);
-        for w in entry.workers {
-            let _ = w.join();
-        }
-        let latency = LatencyHistogram::new();
-        latency.absorb(&entry.latency);
-        Carryover {
-            outputs: entry.output_rx.iter().collect(),
-            training: entry.trainer_rx.iter().collect(),
-            submitted: entry.counters.submitted.load(Ordering::Relaxed),
-            processed: entry.counters.processed.load(Ordering::Relaxed),
-            rejected: entry.counters.rejected.load(Ordering::Relaxed),
-            cache_hits: entry.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: entry.counters.cache_misses.load(Ordering::Relaxed),
-            latency,
-        }
     }
 
     fn entry(&self, app: &str) -> Result<&AppEntry> {
@@ -653,12 +587,7 @@ impl WorkloadManager {
         let mut enriched = [EnrichedQuery::new(query)];
         self.enrich(entry, &mut enriched);
         let [q] = enriched;
-        match &self.qos {
-            Some(qos) => {
-                Self::send_admitted(entry, qos, TimedQuery::at(q, enqueued_at), "manager.submit")
-            }
-            None => Self::send_routed(entry, TimedQuery::at(q, enqueued_at), "manager.submit"),
-        }
+        self.send(entry, TimedQuery::at(q, enqueued_at), "manager.submit")
     }
 
     /// Enqueue a batch for `app`, each query hash-routed to its tenant's
@@ -694,27 +623,14 @@ impl WorkloadManager {
         self.enrich(entry, &mut batch);
         let mut n = 0usize;
         for q in batch {
-            match &self.qos {
-                Some(qos) => {
-                    match Self::send_admitted(
-                        entry,
-                        qos,
-                        TimedQuery::at(q, enqueued_at),
-                        "manager.submit_batch",
-                    ) {
-                        Ok(()) => n += 1,
-                        Err(QuercError::Rejected { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => {
-                    Self::send_routed(
-                        entry,
-                        TimedQuery::at(q, enqueued_at),
-                        "manager.submit_batch",
-                    )?;
-                    n += 1;
-                }
+            match self.send(
+                entry,
+                TimedQuery::at(q, enqueued_at),
+                "manager.submit_batch",
+            ) {
+                Ok(()) => n += 1,
+                Err(QuercError::Rejected { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(n)
@@ -728,30 +644,47 @@ impl WorkloadManager {
     fn enrich(&self, entry: &AppEntry, batch: &mut [EnrichedQuery]) {
         if let (Some(plane), Some(embedder)) = (&self.plane, &entry.embedder) {
             let (hits, misses) = plane.enrich_batch(embedder.as_ref(), batch);
-            entry.counters.cache_hits.fetch_add(hits, Ordering::Relaxed);
-            entry
-                .counters
-                .cache_misses
-                .fetch_add(misses, Ordering::Relaxed);
+            let counters = &entry.lanes.counters;
+            counters.cache_hits.fetch_add(hits, Ordering::Relaxed);
+            counters.cache_misses.fetch_add(misses, Ordering::Relaxed);
         }
     }
 
-    /// The shard index for a query under the entry's routing policy.
-    fn shard_index(entry: &AppEntry, lq: &LabeledQuery) -> usize {
-        match entry.routing {
-            RoutingPolicy::Tenant => shard_for(routing_key(lq), entry.shards.len()),
-            RoutingPolicy::Lineage => shard_for(&lineage_routing_key(lq), entry.shards.len()),
+    /// Offer one enriched query to its shard: through QoS admission when
+    /// QoS is on, else by a blocking routed send.
+    fn send(&self, entry: &AppEntry, timed: TimedQuery, context: &'static str) -> Result<()> {
+        match &self.qos {
+            Some(qos) => self.send_admitted(entry, qos, timed, context),
+            None => self.send_routed(entry, timed, context),
+        }
+    }
+
+    /// The shard index for a query under the configured routing policy.
+    fn shard_index(&self, entry: &AppEntry, lq: &LabeledQuery) -> usize {
+        let shards = entry.shards.len();
+        match self.cfg.routing {
+            RoutingPolicy::Tenant => shard_for(routing_key(lq), shards),
+            RoutingPolicy::Lineage => shard_for(&lineage_routing_key(lq), shards),
         }
     }
 
     /// Route one enriched query to its shard, send (blocking on a full
     /// queue), and count the accepted submission.
-    fn send_routed(entry: &AppEntry, timed: TimedQuery, context: &'static str) -> Result<()> {
-        let shard = Self::shard_index(entry, timed.query.labeled());
+    fn send_routed(
+        &self,
+        entry: &AppEntry,
+        timed: TimedQuery,
+        context: &'static str,
+    ) -> Result<()> {
+        let shard = self.shard_index(entry, timed.query.labeled());
         entry.shards[shard]
             .send(timed)
             .map_err(|_| QuercError::ChannelClosed { context })?;
-        entry.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        entry
+            .lanes
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -764,21 +697,23 @@ impl WorkloadManager {
     /// ([`QuercError::ChannelClosed`]) rolls the offer back instead:
     /// the query had no outcome.
     fn send_admitted(
+        &self,
         entry: &AppEntry,
         qos: &QosState,
         timed: TimedQuery,
         context: &'static str,
     ) -> Result<()> {
         let tenant = routing_key(timed.query.labeled()).to_string();
-        entry.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let counters = &entry.lanes.counters;
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
         let state = match qos.admit_at(&tenant, Instant::now()) {
             Ok(state) => state,
             Err(reason) => {
-                entry.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                counters.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(QuercError::Rejected { tenant, reason });
             }
         };
-        let shard = Self::shard_index(entry, timed.query.labeled());
+        let shard = self.shard_index(entry, timed.query.labeled());
         // Reserve the pending slot BEFORE the send: once the query is in
         // the queue a shard worker may complete it immediately, and the
         // completion must observe the reservation (see `committed`).
@@ -787,7 +722,7 @@ impl WorkloadManager {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
                 QosState::shed_shard_full(&state);
-                entry.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                counters.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(QuercError::Rejected {
                     tenant,
                     reason: RejectReason::ShardFull,
@@ -795,7 +730,7 @@ impl WorkloadManager {
             }
             Err(TrySendError::Disconnected(_)) => {
                 QosState::unsubmit(&state);
-                entry.counters.submitted.fetch_sub(1, Ordering::Relaxed);
+                counters.submitted.fetch_sub(1, Ordering::Relaxed);
                 Err(QuercError::ChannelClosed { context })
             }
         }
@@ -817,42 +752,13 @@ impl WorkloadManager {
         }
     }
 
-    /// Live per-app stats — counters plus latency quantiles, including
-    /// retired generations after a re-registration — sorted by app name.
+    /// Live per-app stats — counters plus latency quantiles, spanning
+    /// every model generation of a re-registered app — sorted by app
+    /// name.
     pub fn throughput(&self) -> Vec<AppThroughput> {
         self.apps
             .iter()
-            .map(|(name, e)| {
-                let prev = self.carryover.get(name);
-                let (prev_sub, prev_proc) =
-                    prev.map(|c| (c.submitted, c.processed)).unwrap_or((0, 0));
-                let (prev_hits, prev_misses) = prev
-                    .map(|c| (c.cache_hits, c.cache_misses))
-                    .unwrap_or((0, 0));
-                let latency = match prev {
-                    // Merge the retired generation's histogram into a
-                    // scratch copy so live reads stay allocation-light
-                    // in the common (no-redeploy) case.
-                    Some(c) => {
-                        let merged = LatencyHistogram::new();
-                        merged.absorb(&c.latency);
-                        merged.absorb(&e.latency);
-                        merged.snapshot()
-                    }
-                    None => e.latency.snapshot(),
-                };
-                AppThroughput {
-                    app: name.clone(),
-                    submitted: prev_sub + e.counters.submitted.load(Ordering::Relaxed),
-                    processed: prev_proc + e.counters.processed.load(Ordering::Relaxed),
-                    rejected: prev.map(|c| c.rejected).unwrap_or(0)
-                        + e.counters.rejected.load(Ordering::Relaxed),
-                    cache_hits: prev_hits + e.counters.cache_hits.load(Ordering::Relaxed),
-                    cache_misses: prev_misses + e.counters.cache_misses.load(Ordering::Relaxed),
-                    latency,
-                    index: e.fitted.index_stats(),
-                }
-            })
+            .map(|(name, e)| e.throughput(name))
             .collect()
     }
 
@@ -886,111 +792,7 @@ impl WorkloadManager {
     /// snapshot; checkpoint after [`WorkloadManager::drain`] or at a
     /// quiesced moment if the queue contents matter.
     pub fn checkpoint(&self, path: impl AsRef<Path>) -> Result<()> {
-        use crate::persist::{self, AppState, DeploymentState, ManifestState, RegistryState};
-        let encode_failed = || persist::corrupt("snapshot payload failed to serialize");
-
-        let mut snap = querc_persist::Snapshot::new();
-        // Each distinct embedder is exported once, into a section of its
-        // own that apps and deployments name by cache namespace.
-        let mut embedders = persist::EmbedderSections::default();
-
-        let mut deployments = Vec::new();
-        for name in self.registry.names() {
-            let Some(classifier) = self.registry.get(&name) else {
-                continue;
-            };
-            let Some(version) = self.registry.version(&name) else {
-                continue;
-            };
-            let Some(labeler) = classifier.labeler().export_state() else {
-                continue;
-            };
-            let Some(embedder) = embedders.add(&mut snap, classifier.embedder().as_ref()) else {
-                continue;
-            };
-            deployments.push(DeploymentState {
-                name,
-                version,
-                label_name: classifier.label_name.clone(),
-                embedder,
-                labeler,
-            });
-        }
-        let registry = RegistryState {
-            events: self.registry.history(),
-            deployments,
-        };
-
-        let mut app_names = Vec::new();
-        for (name, entry) in &self.apps {
-            let Some(embedder) = &entry.embedder else {
-                continue;
-            };
-            let Some(model) = entry.fitted.save_model() else {
-                continue;
-            };
-            let Some(embedder) = embedders.add(&mut snap, embedder.as_ref()) else {
-                continue;
-            };
-            let header = AppState {
-                app: name.clone(),
-                embedder,
-            };
-            snap.add_section(
-                &format!("app:{name}"),
-                persist::to_json(&header).ok_or_else(encode_failed)?,
-            );
-            // The model is opaque text: stored as the section's bytes,
-            // not escaped into the header's JSON.
-            snap.add_section(&persist::model_section(name), model);
-            app_names.push(name.clone());
-        }
-
-        let manifest = ManifestState {
-            apps: app_names,
-            classifiers: registry
-                .deployments
-                .iter()
-                .map(|d| d.name.clone())
-                .collect(),
-        };
-        snap.add_section(
-            "manifest",
-            persist::to_json(&manifest).ok_or_else(encode_failed)?,
-        );
-        snap.add_section(
-            "registry",
-            persist::to_json(&registry).ok_or_else(encode_failed)?,
-        );
-
-        let cache_entries = self.plane.as_ref().map(|p| p.export()).unwrap_or_default();
-        snap.add_section("embed_cache", persist::encode_embed_cache(&cache_entries));
-
-        // Tenant policy overrides, written only when QoS is live; a
-        // snapshot without the section restores with none to apply.
-        if let Some(qos) = &self.qos {
-            let state = persist::QosSectionState {
-                policies: qos
-                    .policies()
-                    .into_iter()
-                    .map(|(tenant, p)| persist::QosPolicyState {
-                        tenant,
-                        weight: p.weight,
-                        rate_per_sec: p.rate.map(|r| r.rate_per_sec),
-                        burst: p.rate.map(|r| r.burst),
-                    })
-                    .collect(),
-            };
-            snap.add_section("qos", persist::to_json(&state).ok_or_else(encode_failed)?);
-        }
-        snap.write_to(path)?;
-
-        // A full snapshot resets the delta baseline: only keys cached
-        // after this point belong in the next checkpoint_delta.
-        let mut keys = self.persisted_keys.lock();
-        keys.clear();
-        keys.extend(cache_entries.iter().map(|(ns, fp, _)| (*ns, *fp)));
-        Ok(())
+        self.write_checkpoint(path)
     }
 
     /// Append the embed-cache entries cached **since the last
@@ -1001,28 +803,7 @@ impl WorkloadManager {
     /// replays deltas in append order on top of the full snapshot's
     /// entries, so recency survives too.
     pub fn checkpoint_delta(&self, path: impl AsRef<Path>) -> Result<()> {
-        use crate::persist;
-        let mut keys = self.persisted_keys.lock();
-        let fresh: Vec<(u64, u64, Vec<f32>)> = self
-            .plane
-            .as_ref()
-            .map(|p| p.export())
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|(ns, fp, _)| !keys.contains(&(*ns, *fp)))
-            .collect();
-        if fresh.is_empty() {
-            return Ok(());
-        }
-        querc_persist::append_to(
-            path,
-            &[(
-                "embed_cache_delta".to_string(),
-                persist::encode_embed_cache(&fresh),
-            )],
-        )?;
-        keys.extend(fresh.iter().map(|(ns, fp, _)| (*ns, *fp)));
-        Ok(())
+        self.append_checkpoint_delta(path)
     }
 
     /// Rebuild a serving stack from a snapshot written by
@@ -1041,159 +822,30 @@ impl WorkloadManager {
     /// sections, torn bytes, shapes that don't fit their embedders)
     /// reports [`QuercError::Corrupt`].
     pub fn restore(path: impl AsRef<Path>, cfg: WorkloadManagerConfig) -> Result<WorkloadManager> {
-        use crate::classifier::{QueryClassifier, TrainedLabeler};
-        use crate::persist::{self, AppState, EmbedderCache, ManifestState, RegistryState};
-
-        let reader = querc_persist::SnapshotReader::open(path)?;
-        let manifest: ManifestState = persist::json_section(&reader, "manifest")?
-            .ok_or_else(|| persist::corrupt("snapshot has no manifest section"))?;
-
-        let mut mgr = WorkloadManager::new(cfg);
-        let mut embedders = EmbedderCache::default();
-
-        // Tenant QoS policies, when the new process runs with QoS on and
-        // the snapshot carries the section. A snapshot written with QoS
-        // off simply has none to apply; a QoS snapshot restored into a
-        // QoS-disabled config ignores them — both directions interop.
-        let policies: Option<persist::QosSectionState> = persist::json_section(&reader, "qos")?;
-        if let (Some(qos), Some(state)) = (&mgr.qos, policies) {
-            for p in state.policies {
-                let rate = match (p.rate_per_sec, p.burst) {
-                    (Some(rate_per_sec), Some(burst)) => Some(crate::qos::RateLimit {
-                        rate_per_sec,
-                        burst,
-                    }),
-                    (None, None) => None,
-                    _ => {
-                        return Err(persist::corrupt(format!(
-                            "qos policy for {:?} has half a rate limit",
-                            p.tenant
-                        )))
-                    }
-                };
-                qos.set_policy(
-                    &p.tenant,
-                    TenantPolicy {
-                        weight: p.weight,
-                        rate,
-                    },
-                );
-            }
-        }
-
-        // Registry first: register_fitted validates `attach_labels`
-        // against it, so deployments must be live before any app is.
-        let registry: Option<RegistryState> = persist::json_section(&reader, "registry")?;
-        if let Some(state) = registry {
-            for d in state.deployments {
-                let embedder = embedders.restore(&reader, d.embedder)?;
-                let labeler = TrainedLabeler::from_state(d.labeler)?;
-                if labeler.dim() != embedder.dim() {
-                    return Err(persist::corrupt(format!(
-                        "classifier {:?}: labeler dim {} but embedder dim {}",
-                        d.name,
-                        labeler.dim(),
-                        embedder.dim()
-                    )));
-                }
-                let classifier = QueryClassifier::new(d.label_name, embedder, labeler);
-                mgr.registry
-                    .restore_deployment(&d.name, d.version, classifier);
-            }
-            mgr.registry.restore_history(state.events);
-        }
-
-        for name in &manifest.apps {
-            let section = format!("app:{name}");
-            let state: AppState = persist::json_section(&reader, &section)?.ok_or_else(|| {
-                persist::corrupt(format!(
-                    "manifest lists {section:?} but the section is missing"
-                ))
-            })?;
-            if state.app != *name {
-                return Err(persist::corrupt(format!(
-                    "section {section:?} claims to be app {:?}",
-                    state.app
-                )));
-            }
-            let embedder = embedders.restore(&reader, state.embedder)?;
-            let app = persist::restore_app(name, embedder)?;
-            let model = persist::section_text(&reader, &persist::model_section(name))?;
-            let model = app.load_model_dyn(model)?;
-            mgr.register_fitted(Arc::new(FittedApp::from_parts(app, model)))?;
-        }
-
-        // Cache warming last: full-snapshot entries first, then deltas
-        // in append order, so insertion order reproduces recency and an
-        // undersized new cache keeps the hottest tail.
-        if let Some(plane) = &mgr.plane {
-            let mut restored: Vec<(u64, u64, Vec<f32>)> = Vec::new();
-            for name in ["embed_cache", "embed_cache_delta"] {
-                for bytes in reader.sections(name) {
-                    persist::decode_embed_cache(bytes, name, &mut restored)?;
-                }
-            }
-            {
-                let mut keys = mgr.persisted_keys.lock();
-                keys.extend(restored.iter().map(|(ns, fp, _)| (*ns, *fp)));
-            }
-            plane.preload(restored);
-        }
-        Ok(mgr)
+        WorkloadManager::restore_checkpoint(path, cfg)
     }
 
     /// Close every shard, join all workers, and collect the labeled
     /// outputs, the training mirror, and final stats — including work
     /// done by generations retired via re-registration.
     pub fn drain(self) -> ServiceDrain {
-        let WorkloadManager {
-            apps,
-            mut carryover,
-            plane,
-            qos,
-            ..
-        } = self;
         let mut outputs = BTreeMap::new();
         let mut training_log = Vec::new();
         let mut throughput = Vec::new();
-        for (name, entry) in apps {
-            // The model (and its atomic index counters) lives in the
-            // FittedApp Arc; snapshot after the workers join so the
-            // stats cover every drained chunk.
-            let fitted = Arc::clone(&entry.fitted);
-            let mut collected = Self::shut_down(entry);
-            let index = fitted.index_stats();
-            if let Some(prev) = carryover.remove(&name) {
-                let mut merged = prev.outputs;
-                merged.extend(collected.outputs);
-                collected.outputs = merged;
-                training_log.extend(prev.training);
-                collected.submitted += prev.submitted;
-                collected.processed += prev.processed;
-                collected.rejected += prev.rejected;
-                collected.cache_hits += prev.cache_hits;
-                collected.cache_misses += prev.cache_misses;
-                collected.latency.absorb(&prev.latency);
-            }
-            training_log.extend(collected.training);
-            outputs.insert(name.clone(), collected.outputs);
-            throughput.push(AppThroughput {
-                app: name,
-                submitted: collected.submitted,
-                processed: collected.processed,
-                rejected: collected.rejected,
-                cache_hits: collected.cache_hits,
-                cache_misses: collected.cache_misses,
-                latency: collected.latency.snapshot(),
-                index,
-            });
+        for (name, mut entry) in self.apps {
+            // Once its workers join, the lanes hold all they will ever
+            // hold and the index counters cover every chunk.
+            entry.retire();
+            throughput.push(entry.throughput(&name));
+            training_log.extend(entry.lanes.training.1.try_iter());
+            outputs.insert(name, entry.lanes.output.1.try_iter().collect());
         }
         ServiceDrain {
             outputs,
             training_log,
             throughput,
-            embed_cache: plane.map(|p| p.stats()).unwrap_or_default(),
-            qos: qos.map(|q| q.drain_snapshot()).unwrap_or_default(),
+            embed_cache: self.plane.map(|p| p.stats()).unwrap_or_default(),
+            qos: self.qos.map(|q| q.drain_snapshot()).unwrap_or_default(),
         }
     }
 }
@@ -1810,6 +1462,95 @@ mod tests {
             assert_eq!(snap.processed, 30, "{name}");
             assert_eq!(snap.rejected(), 0, "{name}");
         }
+    }
+
+    /// A redeploy mid-stream with QoS on: sheds and labels of both
+    /// generations land in one account, per-tenant FIFO holds across
+    /// the generation boundary, and the old generation's outputs all
+    /// precede the new one's.
+    #[test]
+    fn qos_redeploy_keeps_accounting_and_order_across_generations() {
+        use crate::qos::{QosConfig, RateLimit, TenantPolicy};
+        let corpus = corpus();
+        let mut mgr = WorkloadManager::new(WorkloadManagerConfig {
+            shards_per_app: 2,
+            batch: 4,
+            qos: QosConfig::enabled(),
+            ..Default::default()
+        });
+        mgr.register(ResourcesApp::new(embedder()), &corpus)
+            .unwrap();
+        // A burst of 4 and no refill: exactly 4 of its 64 offers pass.
+        mgr.set_tenant_policy(
+            "capped",
+            TenantPolicy {
+                weight: 1,
+                rate: Some(RateLimit {
+                    rate_per_sec: 0.0,
+                    burst: 4.0,
+                }),
+            },
+        );
+        let tenants = ["capped", "t0", "t1", "t2"];
+        let mut next_seq = [0u32; 4];
+        let mut offer = |mgr: &WorkloadManager, generation: &str| {
+            let batch: Vec<LabeledQuery> = (0..128)
+                .map(|i| {
+                    let t = i % tenants.len();
+                    let mut lq = LabeledQuery::new(format!("select v from kv_store where k = {i}"));
+                    lq.set("account", tenants[t]);
+                    lq.set("seq", next_seq[t].to_string());
+                    lq.set("generation", generation);
+                    next_seq[t] += 1;
+                    lq
+                })
+                .collect();
+            let (singles, rest) = batch.split_at(8);
+            for lq in singles {
+                let _ = mgr.submit("resources", lq.clone());
+            }
+            mgr.submit_batch("resources", rest.to_vec()).unwrap();
+        };
+        // Fitted up front, so the redeploy lands while the old
+        // generation still has queries in flight.
+        let next = Arc::new(FittedApp::fit(ResourcesApp::new(embedder()), &corpus).unwrap());
+        offer(&mgr, "old");
+        mgr.register_fitted(next).unwrap();
+        offer(&mgr, "new");
+
+        let drained = mgr.drain();
+        let tp = &drained.throughput[0];
+        assert_eq!(tp.submitted, 256);
+        assert_eq!(tp.submitted, tp.processed + tp.rejected);
+        assert_eq!((tp.processed, tp.rejected), (196, 60));
+        assert_eq!(tp.latency.count, tp.processed);
+        assert_eq!(drained.qos.tenants["capped"].rejected_rate_limited, 60);
+
+        let outputs = &drained.outputs["resources"];
+        assert_eq!(outputs.len() as u64, tp.processed);
+        let mut last_seen = [-1i64; 4];
+        for lq in outputs {
+            let t = tenants
+                .iter()
+                .position(|name| Some(*name) == lq.get("account"))
+                .unwrap();
+            let seq: i64 = lq.get("seq").unwrap().parse().unwrap();
+            assert!(
+                seq > last_seen[t],
+                "tenant {t}: {seq} after {}",
+                last_seen[t]
+            );
+            last_seen[t] = seq;
+        }
+        let generations: Vec<&str> = outputs
+            .iter()
+            .map(|lq| lq.get("generation").unwrap())
+            .collect();
+        let first_new = generations.iter().position(|g| *g == "new").unwrap();
+        assert!(
+            generations[first_new..].iter().all(|g| *g == "new"),
+            "an old-generation query was labeled after a new one"
+        );
     }
 
     #[test]

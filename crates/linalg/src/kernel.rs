@@ -30,8 +30,8 @@
 //! The active arm is picked once per process: the `QUERC_SIMD`
 //! environment variable (`scalar`/`off`/`0` forces the reference path,
 //! `avx2`/`on`/`1` requests AVX2, `avx512` requests AVX-512) wins over
-//! CPU detection, and a programmatic [`set_kernel_override`] (the
-//! `WorkloadManagerConfig` knob) wins over both. Requesting an arm the
+//! CPU detection, and a programmatic [`set_kernel_override`] wins over
+//! both. Requesting an arm the
 //! CPU lacks falls back to the widest available one. Because the arms
 //! are bit-identical, flipping the kernel mid-process is benign — only
 //! throughput changes, never a result.

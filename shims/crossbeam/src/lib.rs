@@ -219,6 +219,11 @@ pub mod channel {
             Iter { rx: self }
         }
 
+        /// Non-blocking iterator: yields what is queued right now.
+        pub fn try_iter(&self) -> TryIter<'_, T> {
+            TryIter { rx: self }
+        }
+
         /// Number of queued messages (diagnostic).
         pub fn len(&self) -> usize {
             self.inner.queue.lock().unwrap().len()
@@ -246,6 +251,17 @@ pub mod channel {
                 let _guard = self.inner.queue.lock().unwrap();
                 self.inner.space.notify_all();
             }
+        }
+    }
+
+    pub struct TryIter<'a, T> {
+        rx: &'a Receiver<T>,
+    }
+
+    impl<T> Iterator for TryIter<'_, T> {
+        type Item = T;
+        fn next(&mut self) -> Option<T> {
+            self.rx.try_recv().ok()
         }
     }
 
