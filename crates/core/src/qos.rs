@@ -171,8 +171,6 @@ pub struct QosConfig {
     pub enabled: bool,
     /// Dequeues a weight-1 tenant earns per DRR round (≥ 1).
     pub quantum: u32,
-    /// Weight for tenants without an explicit [`TenantPolicy`] (≥ 1).
-    pub default_weight: u32,
     /// Token bucket applied to tenants without an explicit policy;
     /// `None` disables rate limiting for them.
     pub default_rate: Option<RateLimit>,
@@ -181,6 +179,7 @@ pub struct QosConfig {
     pub max_pending_per_tenant: usize,
     /// Per-tenant overrides applied at construction (more can be added
     /// live via [`crate::service::WorkloadManager::set_tenant_policy`]).
+    /// A tenant without one has weight 1 and `default_rate`.
     pub policies: Vec<(String, TenantPolicy)>,
 }
 
@@ -189,7 +188,6 @@ impl Default for QosConfig {
         QosConfig {
             enabled: false,
             quantum: 8,
-            default_weight: 1,
             default_rate: None,
             max_pending_per_tenant: 1024,
             policies: Vec::new(),
@@ -320,7 +318,7 @@ impl QosState {
         let state = QosState {
             quantum: cfg.quantum.max(1),
             default_policy: TenantPolicy {
-                weight: cfg.default_weight.max(1),
+                weight: 1,
                 rate: cfg.default_rate,
             },
             max_pending: cfg.max_pending_per_tenant,

@@ -33,21 +33,19 @@ pub enum EmbedderKind {
     },
 }
 
+/// Trees in the default random-forest labeler.
+const FOREST_TREES: usize = 40;
+
 /// Training-module configuration.
 #[derive(Debug, Clone)]
 pub struct TrainingConfig {
-    /// Trees in the default random-forest labeler.
-    pub forest_trees: usize,
     /// Master seed for training jobs.
     pub seed: u64,
 }
 
 impl Default for TrainingConfig {
     fn default() -> Self {
-        TrainingConfig {
-            forest_trees: 40,
-            seed: 0x7a11,
-        }
+        TrainingConfig { seed: 0x7a11 }
     }
 }
 
@@ -143,7 +141,7 @@ impl TrainingModule {
         let names: Vec<&str> = labeled.iter().map(|(_, v)| *v).collect();
         let mut rng = Pcg32::with_stream(self.cfg.seed, 0x1ab3);
         TrainedLabeler::try_train(
-            RandomForest::new(ForestConfig::extra_trees(self.cfg.forest_trees)),
+            RandomForest::new(ForestConfig::extra_trees(FOREST_TREES)),
             &vectors,
             &names,
             &mut rng,

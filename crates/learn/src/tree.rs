@@ -20,8 +20,6 @@ pub enum SplitStrategy {
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
     pub max_depth: usize,
-    /// Nodes with fewer samples become leaves.
-    pub min_samples_split: usize,
     /// Number of candidate features per node; `None` = all features.
     pub max_features: Option<usize>,
     pub strategy: SplitStrategy,
@@ -31,7 +29,6 @@ impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
             max_depth: 24,
-            min_samples_split: 2,
             max_features: None,
             strategy: SplitStrategy::Best,
         }
@@ -209,8 +206,9 @@ impl DecisionTree {
     ) -> usize {
         let counts = class_counts(y, indices, self.n_classes);
         let n = indices.len();
+        // A node of fewer than two samples is pure, so it always ends here.
         let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-        if pure || depth >= self.cfg.max_depth || n < self.cfg.min_samples_split {
+        if pure || depth >= self.cfg.max_depth {
             self.nodes.push(Node::Leaf { counts });
             return self.nodes.len() - 1;
         }

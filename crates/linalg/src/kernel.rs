@@ -8,24 +8,24 @@
 //! * **scalar** — the [`crate::ops`] lane-strided reference loops
 //!   (element `i` accumulates into lane `i % 8`, lanes collapse through
 //!   `ops::lane_sum`). This is the semantic definition.
-//! * **avx2** — hand-written `std::arch` intrinsics performing the
-//!   *identical* IEEE-754 operation sequence: one `vsubps`/`vmulps`/
-//!   `vaddps` chain per 8-element chunk, scalar remainder folded into
-//!   the same lanes, the same `lane_sum` reduction tree. No FMA is used
-//!   in the accumulation (fusing changes rounding), so **both arms are
-//!   bit-for-bit identical** — for squared-Euclidean, cosine, dot,
-//!   axpy, the gathered-row and blocked-GEMM kernels, and the SQ8
-//!   asymmetric-distance kernels alike. The cosine ulp bound between
-//!   arms is therefore 0.
-//! * **avx512** — the same 8-lane accumulation sequences, but with
-//!   **two independent rows packed per 512-bit register** in the
-//!   blocked and gathered kernels (each 256-bit half runs one row's
-//!   canonical chunk chain, so no per-row operation order changes) and
-//!   a 16-wide [`axpy`] (elementwise — no reduction, so register width
-//!   is invisible to the result). Single-row reductions are
-//!   latency-bound on the 8-lane canon and gain nothing from wider
-//!   registers, so they delegate to the AVX2 twins. Bit-identical to
-//!   both other arms by the same argument.
+//! * **avx2** — `std::arch` intrinsics performing the *identical*
+//!   IEEE-754 operation sequence: one `vaddps` per 8-element chunk,
+//!   scalar remainder folded into the same lanes, the same `lane_sum`
+//!   reduction tree. The chain is written once, in two generic drivers
+//!   (one row; a block of rows, four at a time on tail-free dims); each
+//!   reduction — squared distance, dot, and the two SQ8
+//!   asymmetric-distance terms — only says what one 8-element chunk of
+//!   a row contributes. No FMA is used in the accumulation (fusing
+//!   changes rounding), so **both arms are bit-for-bit identical** —
+//!   for squared-Euclidean, cosine, dot, axpy, the gathered-row and
+//!   blocked-GEMM kernels, and the SQ8 kernels alike. The cosine ulp
+//!   bound between arms is therefore 0.
+//! * **avx512** — a 16-wide [`axpy`] (elementwise — no reduction, so
+//!   register width is invisible to the result), the inner loop of
+//!   [`gemm`] and of SGD training. Every reduction is a loop-carried
+//!   8-lane chain per row that wider registers cannot shorten without
+//!   changing the operation order, so this arm runs the AVX2 bodies for
+//!   them. Bit-identical to both other arms by the same argument.
 //!
 //! The active arm is picked once per process: the `QUERC_SIMD`
 //! environment variable (`scalar`/`off`/`0` forces the reference path,
@@ -55,9 +55,9 @@ pub enum Kernel {
     /// Hand-vectorized AVX2 intrinsics (x86-64 only), bit-identical to
     /// [`Kernel::Scalar`].
     Avx2,
-    /// AVX-512 row-pair kernels (x86-64 only): two rows per 512-bit
-    /// register in the blocked/gathered scans, 16-wide axpy.
-    /// Bit-identical to [`Kernel::Scalar`].
+    /// AVX-512 (x86-64 only): a 16-wide axpy — the GEMM and SGD inner
+    /// loop — and the AVX2 bodies for every reduction. Bit-identical to
+    /// [`Kernel::Scalar`].
     Avx512,
 }
 
@@ -93,18 +93,13 @@ pub fn avx2_available() -> bool {
     false
 }
 
-/// Whether this CPU can run the AVX-512 arm. Requires AVX-512 F + DQ
-/// (`_mm512_broadcast_f32x8` / `_mm512_extractf32x8_ps`) plus AVX2,
-/// whose kernels the arm delegates single-row work to.
+/// Whether this CPU can run the AVX-512 arm: AVX-512 F for its 16-wide
+/// axpy, plus AVX2, whose bodies run every reduction.
 #[cfg(target_arch = "x86_64")]
 pub fn avx512_available() -> bool {
     use std::sync::OnceLock;
     static AVX512: OnceLock<bool> = OnceLock::new();
-    *AVX512.get_or_init(|| {
-        is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512dq")
-            && avx2_available()
-    })
+    *AVX512.get_or_init(|| is_x86_feature_detected!("avx512f") && avx2_available())
 }
 
 /// Whether this CPU can run the AVX-512 arm.
@@ -175,7 +170,7 @@ pub fn kernel_name() -> &'static str {
 // ---------------------------------------------------------------------
 
 /// Squared Euclidean distance, on the active kernel. Bit-identical to
-/// `ops::sq_dist` on every arm.
+/// `ops::sq_dist` on every arm. Panics if the lengths differ.
 #[inline]
 pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     sq_dist_with(active_kernel(), a, b)
@@ -184,7 +179,7 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 /// [`sq_dist`] on an explicit arm (parity tests / benchmarks).
 #[inline]
 pub fn sq_dist_with(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len());
     match kernel {
         Kernel::Scalar => ops::sq_dist(a, b),
         #[cfg(target_arch = "x86_64")]
@@ -226,6 +221,7 @@ pub fn norm_with(kernel: Kernel, x: &[f32]) -> f32 {
 }
 
 /// Dot product, on the active kernel. Bit-identical to `ops::dot`.
+/// Panics if the lengths differ.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dot_with(active_kernel(), a, b)
@@ -234,7 +230,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// [`dot`] on an explicit arm (parity tests / benchmarks).
 #[inline]
 pub fn dot_with(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len());
     match kernel {
         Kernel::Scalar => ops::dot(a, b),
         #[cfg(target_arch = "x86_64")]
@@ -247,6 +243,7 @@ pub fn dot_with(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
 /// `y += alpha * x`, on the active kernel. Bit-identical to
 /// `ops::axpy`: the operation is elementwise (no reduction), so both
 /// arms perform literally the same multiply-then-add per component.
+/// Panics if the lengths differ.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     axpy_with(active_kernel(), alpha, x, y)
@@ -255,7 +252,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// [`axpy`] on an explicit arm (parity tests / benchmarks).
 #[inline]
 pub fn axpy_with(kernel: Kernel, alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len());
     match kernel {
         Kernel::Scalar => ops::axpy(alpha, x, y),
         #[cfg(target_arch = "x86_64")]
@@ -272,9 +269,8 @@ pub fn axpy_with(kernel: Kernel, alpha: f32, x: &[f32], y: &mut [f32]) {
 //
 // `data` is padded row-major storage (`VectorStore::data`): row `r`
 // starts at `r * stride` and its first `q.len()` components are real;
-// `data.len() >= out.len() * stride` must hold. The fused kernels keep
-// the query hot in registers across rows and unroll rows in quads
-// (pairs on tail-carrying dims), reducing four accumulators at once
+// `data.len() >= out.len() * stride` must hold. On tail-free dims the
+// fused kernels run rows in quads, reducing four accumulators at once
 // through a transposed copy of the `lane_sum` tree — which is where
 // the flat-scan speedup over per-row calls comes from.
 // ---------------------------------------------------------------------
@@ -297,9 +293,7 @@ pub fn sq_dist_block_with(kernel: Kernel, q: &[f32], data: &[f32], stride: usize
             }
         }
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { avx2::sq_dist_block(q, data, stride, out) },
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => unsafe { avx512::sq_dist_block(q, data, stride, out) },
+        Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::sq_dist_block(q, data, stride, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 | Kernel::Avx512 => sq_dist_block_with(Kernel::Scalar, q, data, stride, out),
     }
@@ -374,9 +368,6 @@ pub fn cosine_dist_block_normed_with(
                 *o = ops::cosine_finish(ops::dot(q, row), nq, norms[r]);
             }
         }
-        // No AVX-512 twin: the row-pair layout measured within ±8% of
-        // this scan (CHANGES.md, PR 20), under the 10% a third body
-        // has to earn.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 | Kernel::Avx512 => unsafe {
             avx2::cosine_dist_block_normed(q, nq, data, stride, norms, out)
@@ -416,9 +407,7 @@ pub fn dot_gather_with(
             }
         }
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { avx2::dot_gather(q, data, stride, ids, out) },
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => unsafe { avx512::dot_gather(q, data, stride, ids, out) },
+        Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::dot_gather(q, data, stride, ids, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 | Kernel::Avx512 => dot_gather_with(Kernel::Scalar, q, data, stride, ids, out),
     }
@@ -590,75 +579,259 @@ fn adc_dot_row_scalar(w: &[f32], codes: &[u8]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Bit-parity twins of the scalar reference kernels.
+    //! Bit-parity twins of the scalar reference kernels, written once:
+    //! a [`Term`] says what one row adds to its lanes, and the two
+    //! generic drivers [`row`] and [`rows`] run the canonical 8-lane
+    //! chain over it — one `vaddps` per 8-element chunk, the scalar
+    //! tail folded into the same lanes, the [`lane_sum`] tree (or its
+    //! four-row transpose, [`reduce4`]).
     //!
-    //! Safety: every function is `#[target_feature(enable = "avx2")]`
+    //! Safety: every entry point is `#[target_feature(enable = "avx2")]`
     //! and must only be reached through the dispatcher above, which has
     //! either verified `is_x86_feature_detected!("avx2")` or been
-    //! explicitly handed [`Kernel::Avx2`] by the parity suite (which
+    //! explicitly handed [`super::Kernel::Avx2`] by the parity suite (which
     //! performs the same check). All loads are unaligned (`loadu`) —
     //! `VectorStore` pads row *strides* to 32 bytes but `Vec<f32>` does
     //! not guarantee a 32-byte base address, and query slices are
     //! arbitrary.
 
-    use super::Kernel;
-    use crate::ops::{cosine_finish, lane_sum, LANES};
+    use crate::ops::{lane_sum, LANES};
     use std::arch::x86_64::*;
 
-    /// Collapse one AVX2 accumulator plus the scalar-tail lanes.
+    /// What one row of a reduction adds to its accumulator lanes: the
+    /// query side lives in `self`, `p` points at the row. Callers keep
+    /// every element they name readable in both, and `chunk` needs AVX2.
+    trait Term {
+        /// Row element: `f32` components or `u8` SQ8 codes.
+        type Elem;
+        /// The contributions of elements `i..i + 8`, one per lane.
+        unsafe fn chunk(&self, p: *const Self::Elem, i: usize) -> __m256;
+        /// The contribution of tail element `i`.
+        unsafe fn one(&self, p: *const Self::Elem, i: usize) -> f32;
+    }
+
+    /// `(q − row)²`.
+    struct SqDist<'a>(&'a [f32]);
+
+    impl Term for SqDist<'_> {
+        type Elem = f32;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn chunk(&self, p: *const f32, i: usize) -> __m256 {
+            let d = _mm256_sub_ps(
+                _mm256_loadu_ps(self.0.as_ptr().add(i)),
+                _mm256_loadu_ps(p.add(i)),
+            );
+            _mm256_mul_ps(d, d)
+        }
+
+        #[inline(always)]
+        unsafe fn one(&self, p: *const f32, i: usize) -> f32 {
+            let d = self.0[i] - *p.add(i);
+            d * d
+        }
+    }
+
+    /// `q·row`.
+    struct Dot<'a>(&'a [f32]);
+
+    impl Term for Dot<'_> {
+        type Elem = f32;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn chunk(&self, p: *const f32, i: usize) -> __m256 {
+            _mm256_mul_ps(
+                _mm256_loadu_ps(self.0.as_ptr().add(i)),
+                _mm256_loadu_ps(p.add(i)),
+            )
+        }
+
+        #[inline(always)]
+        unsafe fn one(&self, p: *const f32, i: usize) -> f32 {
+            self.0[i] * *p.add(i)
+        }
+    }
+
+    /// ADC `(t − code·step)²`. Widening a `u8` code to `f32` is exact.
+    struct AdcSq<'a> {
+        t: &'a [f32],
+        step: &'a [f32],
+    }
+
+    impl Term for AdcSq<'_> {
+        type Elem = u8;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn chunk(&self, p: *const u8, i: usize) -> __m256 {
+            let c = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.add(i).cast())));
+            let s = _mm256_mul_ps(c, _mm256_loadu_ps(self.step.as_ptr().add(i)));
+            let d = _mm256_sub_ps(_mm256_loadu_ps(self.t.as_ptr().add(i)), s);
+            _mm256_mul_ps(d, d)
+        }
+
+        #[inline(always)]
+        unsafe fn one(&self, p: *const u8, i: usize) -> f32 {
+            let d = self.t[i] - *p.add(i) as f32 * self.step[i];
+            d * d
+        }
+    }
+
+    /// ADC `w·code`.
+    struct AdcDot<'a>(&'a [f32]);
+
+    impl Term for AdcDot<'_> {
+        type Elem = u8;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn chunk(&self, p: *const u8, i: usize) -> __m256 {
+            let c = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.add(i).cast())));
+            _mm256_mul_ps(_mm256_loadu_ps(self.0.as_ptr().add(i)), c)
+        }
+
+        #[inline(always)]
+        unsafe fn one(&self, p: *const u8, i: usize) -> f32 {
+            self.0[i] * *p.add(i) as f32
+        }
+    }
+
+    /// One row: one accumulator over the 8-element chunks, the tail
+    /// folded into the same lanes, then [`lane_sum`] — the operation
+    /// sequence of the `ops` reference loops.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `dim` elements readable at `p` and in
+    /// the query.
+    #[inline(always)]
+    unsafe fn row<T: Term>(term: &T, p: *const T::Elem, dim: usize) -> f32 {
+        let head = dim - dim % LANES;
+        let mut acc = _mm256_setzero_ps();
+        let mut i = 0;
+        while i < head {
+            acc = _mm256_add_ps(acc, term.chunk(p, i));
+            i += LANES;
+        }
+        let mut l = [0.0f32; LANES];
+        _mm256_storeu_ps(l.as_mut_ptr(), acc);
+        for (k, lane) in l.iter_mut().enumerate().take(dim - head) {
+            *lane += term.one(p, head + k);
+        }
+        lane_sum(l)
+    }
+
+    /// A block of rows, row `r` at `at(r)`. On tail-free dims the rows
+    /// run four at a time, four accumulators retired by one [`reduce4`];
+    /// remainder rows, and every row of a tail-carrying dim, run through
+    /// [`row`]. `finish(r, sums)` maps the sums of rows `r..r + 4` to
+    /// their outputs (identity, or [`cosine_finish4`]); in a block's
+    /// last group of fewer than four rows the missing lanes are zero and
+    /// their outputs dropped.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `dim` elements readable at every `at(r)`
+    /// for `r < out.len()`, and in the query.
+    #[inline(always)]
+    unsafe fn rows<T: Term>(
+        term: &T,
+        dim: usize,
+        out: &mut [f32],
+        at: impl Fn(usize) -> *const T::Elem,
+        finish: impl Fn(usize, __m128) -> __m128,
+    ) {
+        let n = out.len();
+        let mut r = 0;
+        if dim.is_multiple_of(LANES) {
+            while r + 4 <= n {
+                let p = [at(r), at(r + 1), at(r + 2), at(r + 3)];
+                let mut acc = [_mm256_setzero_ps(); 4];
+                let mut i = 0;
+                while i < dim {
+                    for (a, &p) in acc.iter_mut().zip(&p) {
+                        *a = _mm256_add_ps(*a, term.chunk(p, i));
+                    }
+                    i += LANES;
+                }
+                let sums = reduce4(acc[0], acc[1], acc[2], acc[3]);
+                _mm_storeu_ps(out.as_mut_ptr().add(r), finish(r, sums));
+                r += 4;
+            }
+        }
+        while r < n {
+            let m = (n - r).min(4);
+            let mut sums = [0.0f32; 4];
+            for (j, s) in sums[..m].iter_mut().enumerate() {
+                *s = row(term, at(r + j), dim);
+            }
+            _mm_storeu_ps(sums.as_mut_ptr(), finish(r, _mm_loadu_ps(sums.as_ptr())));
+            out[r..r + m].copy_from_slice(&sums[..m]);
+            r += m;
+        }
+    }
+
+    /// Collapse four AVX2 accumulators into four results at once: the
+    /// 128-bit halves are added (`s_i = l[i] + l[i+4]`), the four
+    /// `[s0..s3]` vectors are transposed, and the vertical adds
+    /// `(c0+c2)+(c1+c3)` perform, per lane, exactly the
+    /// `(s0+s2)+(s1+s3)` tree of [`lane_sum`] — same operands, same
+    /// order, so the results are bit-identical to reducing each row
+    /// alone.
     ///
     /// # Safety
     /// AVX2 must be available.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn reduce(acc: __m256, tail: impl FnOnce(&mut [f32; LANES])) -> f32 {
-        let mut l = [0.0f32; LANES];
-        _mm256_storeu_ps(l.as_mut_ptr(), acc);
-        tail(&mut l);
-        lane_sum(l)
+    unsafe fn reduce4(a0: __m256, a1: __m256, a2: __m256, a3: __m256) -> __m128 {
+        let s0 = _mm_add_ps(_mm256_castps256_ps128(a0), _mm256_extractf128_ps(a0, 1));
+        let s1 = _mm_add_ps(_mm256_castps256_ps128(a1), _mm256_extractf128_ps(a1, 1));
+        let s2 = _mm_add_ps(_mm256_castps256_ps128(a2), _mm256_extractf128_ps(a2, 1));
+        let s3 = _mm_add_ps(_mm256_castps256_ps128(a3), _mm256_extractf128_ps(a3, 1));
+        // 4×4 transpose: c_j[r] = s_r[j].
+        let t0 = _mm_unpacklo_ps(s0, s1);
+        let t1 = _mm_unpacklo_ps(s2, s3);
+        let t2 = _mm_unpackhi_ps(s0, s1);
+        let t3 = _mm_unpackhi_ps(s2, s3);
+        let c0 = _mm_movelh_ps(t0, t1);
+        let c1 = _mm_movehl_ps(t1, t0);
+        let c2 = _mm_movelh_ps(t2, t3);
+        let c3 = _mm_movehl_ps(t3, t2);
+        _mm_add_ps(_mm_add_ps(c0, c2), _mm_add_ps(c1, c3))
+    }
+
+    /// [`crate::ops::cosine_finish`] four rows wide. IEEE `mul`/`div`/
+    /// `sub` round the same in a vector lane as in a scalar register;
+    /// `max`/`min` return their *second* operand when either is NaN, so
+    /// with the bound first a NaN quotient stays NaN as `f32::clamp`
+    /// leaves it; zero-norm lanes blend to 1.0 last (the scalar early
+    /// return).
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cosine_finish4(dots: __m128, nq: __m128, nr: __m128) -> __m128 {
+        let one = _mm_set1_ps(1.0);
+        let cos = _mm_div_ps(dots, _mm_mul_ps(nq, nr));
+        let cos = _mm_min_ps(one, _mm_max_ps(_mm_set1_ps(-1.0), cos));
+        let zero = _mm_setzero_ps();
+        let zero_norm = _mm_or_ps(_mm_cmpeq_ps(nq, zero), _mm_cmpeq_ps(nr, zero));
+        _mm_blendv_ps(_mm_sub_ps(one, cos), one, zero_norm)
     }
 
     /// # Safety
     /// AVX2 must be available; `a.len() == b.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let head = n - n % LANES;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < head {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-            i += LANES;
-        }
-        reduce(acc, |l| {
-            for k in 0..n - head {
-                let d = a[head + k] - b[head + k];
-                l[k] += d * d;
-            }
-        })
+        row(&SqDist(a), b.as_ptr(), a.len())
     }
 
     /// # Safety
     /// AVX2 must be available; `a.len() == b.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let head = n - n % LANES;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < head {
-            let p = _mm256_mul_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            acc = _mm256_add_ps(acc, p);
-            i += LANES;
-        }
-        reduce(acc, |l| {
-            for k in 0..n - head {
-                l[k] += a[head + k] * b[head + k];
-            }
-        })
+        row(&Dot(a), b.as_ptr(), a.len())
     }
 
     /// `y += alpha * x`, vertical (no reduction): one `vmulps` +
@@ -686,163 +859,17 @@ mod avx2 {
         }
     }
 
-    /// Collapse four AVX2 accumulators into four results at once: the
-    /// 128-bit halves are added (`s_i = l[i] + l[i+4]`), the four
-    /// `[s0..s3]` vectors are transposed, and the vertical adds
-    /// `(c0+c2)+(c1+c3)` perform, per lane, exactly the
-    /// `(s0+s2)+(s1+s3)` tree of [`lane_sum`] — same operands, same
-    /// order, so the results are bit-identical to reducing each row
-    /// alone.
-    ///
-    /// # Safety
-    /// AVX2 must be available.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn reduce4(a0: __m256, a1: __m256, a2: __m256, a3: __m256) -> __m128 {
-        let s0 = _mm_add_ps(_mm256_castps256_ps128(a0), _mm256_extractf128_ps(a0, 1));
-        let s1 = _mm_add_ps(_mm256_castps256_ps128(a1), _mm256_extractf128_ps(a1, 1));
-        let s2 = _mm_add_ps(_mm256_castps256_ps128(a2), _mm256_extractf128_ps(a2, 1));
-        let s3 = _mm_add_ps(_mm256_castps256_ps128(a3), _mm256_extractf128_ps(a3, 1));
-        // 4×4 transpose: c_j[r] = s_r[j].
-        let t0 = _mm_unpacklo_ps(s0, s1);
-        let t1 = _mm_unpacklo_ps(s2, s3);
-        let t2 = _mm_unpackhi_ps(s0, s1);
-        let t3 = _mm_unpackhi_ps(s2, s3);
-        let c0 = _mm_movelh_ps(t0, t1);
-        let c1 = _mm_movehl_ps(t1, t0);
-        let c2 = _mm_movelh_ps(t2, t3);
-        let c3 = _mm_movehl_ps(t3, t2);
-        _mm_add_ps(_mm_add_ps(c0, c2), _mm_add_ps(c1, c3))
-    }
-
-    /// Fused flat scan: query held in registers; rows unrolled in
-    /// quads (tail-free dims) with a transposed SIMD reduce, in pairs
-    /// otherwise.
-    ///
     /// # Safety
     /// AVX2 must be available; `q.len() <= stride`,
     /// `data.len() >= out.len() * stride`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq_dist_block(q: &[f32], data: &[f32], stride: usize, out: &mut [f32]) {
-        let dim = q.len();
-        let head = dim - dim % LANES;
-        let pq = q.as_ptr();
         let pd = data.as_ptr();
-        let rows = out.len();
-        let mut r = 0;
-        // Quad-row fast path: the per-row horizontal reduce is the
-        // bottleneck once the block is cache-hot, and `reduce4` retires
-        // it at ~4 ops/row instead of a store + scalar tree. Only valid
-        // tail-free (`dim % 8 == 0`) — tail lanes must be folded before
-        // the tree, which the pair path below handles.
-        if dim.is_multiple_of(LANES) && dim > 0 {
-            while r + 4 <= rows {
-                let p0 = pd.add(r * stride);
-                let p1 = pd.add((r + 1) * stride);
-                let p2 = pd.add((r + 2) * stride);
-                let p3 = pd.add((r + 3) * stride);
-                let mut a0 = _mm256_setzero_ps();
-                let mut a1 = _mm256_setzero_ps();
-                let mut a2 = _mm256_setzero_ps();
-                let mut a3 = _mm256_setzero_ps();
-                let mut i = 0;
-                while i < head {
-                    let vq = _mm256_loadu_ps(pq.add(i));
-                    let d0 = _mm256_sub_ps(vq, _mm256_loadu_ps(p0.add(i)));
-                    let d1 = _mm256_sub_ps(vq, _mm256_loadu_ps(p1.add(i)));
-                    let d2 = _mm256_sub_ps(vq, _mm256_loadu_ps(p2.add(i)));
-                    let d3 = _mm256_sub_ps(vq, _mm256_loadu_ps(p3.add(i)));
-                    a0 = _mm256_add_ps(a0, _mm256_mul_ps(d0, d0));
-                    a1 = _mm256_add_ps(a1, _mm256_mul_ps(d1, d1));
-                    a2 = _mm256_add_ps(a2, _mm256_mul_ps(d2, d2));
-                    a3 = _mm256_add_ps(a3, _mm256_mul_ps(d3, d3));
-                    i += LANES;
-                }
-                _mm_storeu_ps(out.as_mut_ptr().add(r), reduce4(a0, a1, a2, a3));
-                r += 4;
-            }
-        }
-        while r + 2 <= rows {
-            let p0 = pd.add(r * stride);
-            let p1 = pd.add((r + 1) * stride);
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut i = 0;
-            while i < head {
-                let vq = _mm256_loadu_ps(pq.add(i));
-                let d0 = _mm256_sub_ps(vq, _mm256_loadu_ps(p0.add(i)));
-                let d1 = _mm256_sub_ps(vq, _mm256_loadu_ps(p1.add(i)));
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(d0, d0));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(d1, d1));
-                i += LANES;
-            }
-            out[r] = reduce(a0, |l| {
-                for k in 0..dim - head {
-                    let d = q[head + k] - *p0.add(head + k);
-                    l[k] += d * d;
-                }
-            });
-            out[r + 1] = reduce(a1, |l| {
-                for k in 0..dim - head {
-                    let d = q[head + k] - *p1.add(head + k);
-                    l[k] += d * d;
-                }
-            });
-            r += 2;
-        }
-        if r < rows {
-            let row = std::slice::from_raw_parts(pd.add(r * stride), dim);
-            out[r] = sq_dist(q, row);
-        }
+        rows(&SqDist(q), q.len(), out, |r| pd.add(r * stride), |_, s| s);
     }
 
-    /// Dots of `q` against four rows at once through the [`reduce4`]
-    /// transposed tree; lane `j` is bit-identical to `dot(q, row_j)`.
-    ///
-    /// # Safety
-    /// AVX2 must be available; `dim` is a multiple of [`LANES`] and
-    /// `dim` floats are readable at `pq` and at each `p[j]`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot4(pq: *const f32, p: [*const f32; 4], dim: usize) -> __m128 {
-        let mut a0 = _mm256_setzero_ps();
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut a3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < dim {
-            let vq = _mm256_loadu_ps(pq.add(i));
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(vq, _mm256_loadu_ps(p[0].add(i))));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(vq, _mm256_loadu_ps(p[1].add(i))));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(vq, _mm256_loadu_ps(p[2].add(i))));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(vq, _mm256_loadu_ps(p[3].add(i))));
-            i += LANES;
-        }
-        reduce4(a0, a1, a2, a3)
-    }
-
-    /// [`cosine_finish`] four rows wide. IEEE `mul`/`div`/`sub` round
-    /// the same in a vector lane as in a scalar register; `max`/`min`
-    /// return their *second* operand when either is NaN, so with the
-    /// bound first a NaN quotient stays NaN as `f32::clamp` leaves it;
-    /// zero-norm lanes blend to 1.0 last (the scalar early return).
-    ///
-    /// # Safety
-    /// AVX2 must be available.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn cosine_finish4(dots: __m128, nq: __m128, nr: __m128) -> __m128 {
-        let one = _mm_set1_ps(1.0);
-        let cos = _mm_div_ps(dots, _mm_mul_ps(nq, nr));
-        let cos = _mm_min_ps(one, _mm_max_ps(_mm_set1_ps(-1.0), cos));
-        let zero = _mm_setzero_ps();
-        let zero_norm = _mm_or_ps(_mm_cmpeq_ps(nq, zero), _mm_cmpeq_ps(nr, zero));
-        _mm_blendv_ps(_mm_sub_ps(one, cos), one, zero_norm)
-    }
-
-    /// Normed cosine scan: rows in quads through [`dot4`] with the
-    /// finish four wide (tail-free dims); remainder rows and
-    /// tail-carrying dims take [`dot`] and the scalar finish.
+    /// The dot-only cosine scan: [`rows`] of [`Dot`] with the finish
+    /// four wide.
     ///
     /// # Safety
     /// AVX2 must be available; `q.len() <= stride`,
@@ -856,31 +883,28 @@ mod avx2 {
         norms: &[f32],
         out: &mut [f32],
     ) {
-        let dim = q.len();
         let pd = data.as_ptr();
-        let rows = out.len();
-        let mut r = 0;
-        if dim.is_multiple_of(LANES) && dim > 0 {
-            let vnq = _mm_set1_ps(nq);
-            while r + 4 <= rows {
-                let p = pd.add(r * stride);
-                let rows4 = [p, p.add(stride), p.add(2 * stride), p.add(3 * stride)];
-                let dots = dot4(q.as_ptr(), rows4, dim);
-                let vnr = _mm_loadu_ps(norms.as_ptr().add(r));
-                _mm_storeu_ps(out.as_mut_ptr().add(r), cosine_finish4(dots, vnq, vnr));
-                r += 4;
-            }
-        }
-        for j in r..rows {
-            let row = std::slice::from_raw_parts(pd.add(j * stride), dim);
-            out[j] = cosine_finish(dot(q, row), nq, norms[j]);
-        }
+        let vnq = _mm_set1_ps(nq);
+        rows(
+            &Dot(q),
+            q.len(),
+            out,
+            |r| pd.add(r * stride),
+            |r, dots| {
+                let nr = match norms.get(r..r + 4) {
+                    Some(nr) => _mm_loadu_ps(nr.as_ptr()),
+                    None => {
+                        let mut nr = [0.0f32; 4];
+                        nr[..norms.len() - r].copy_from_slice(&norms[r..]);
+                        _mm_loadu_ps(nr.as_ptr())
+                    }
+                };
+                cosine_finish4(dots, vnq, nr)
+            },
+        );
     }
 
-    /// Gathered quad-dot: four gathered rows dotted per iteration
-    /// through [`dot4`] (tail-free dims), falling back to per-row
-    /// [`dot`] otherwise — the [`cosine_dist_block_normed`] scan with
-    /// row addresses taken from `ids` instead of consecutive.
+    /// The dot scan with row addresses taken from `ids`.
     ///
     /// # Safety
     /// AVX2 must be available; `q.len() <= stride`,
@@ -894,38 +918,8 @@ mod avx2 {
         ids: &[usize],
         out: &mut [f32],
     ) {
-        let dim = q.len();
         let pd = data.as_ptr();
-        let rows = out.len();
-        let mut r = 0;
-        if dim.is_multiple_of(LANES) && dim > 0 {
-            while r + 4 <= rows {
-                let rows4 = [
-                    pd.add(ids[r] * stride),
-                    pd.add(ids[r + 1] * stride),
-                    pd.add(ids[r + 2] * stride),
-                    pd.add(ids[r + 3] * stride),
-                ];
-                _mm_storeu_ps(out.as_mut_ptr().add(r), dot4(q.as_ptr(), rows4, dim));
-                r += 4;
-            }
-        }
-        for j in r..rows {
-            let row = std::slice::from_raw_parts(pd.add(ids[j] * stride), dim);
-            out[j] = dot(q, row);
-        }
-    }
-
-    /// Widen 8 `u8` codes to 8 `f32` lanes (exact — every `u8` is
-    /// representable).
-    ///
-    /// # Safety
-    /// AVX2 must be available; at least 8 bytes readable at `p`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_codes8(p: *const u8) -> __m256 {
-        let lo = _mm_loadl_epi64(p as *const __m128i);
-        _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(lo))
+        rows(&Dot(q), q.len(), out, |j| pd.add(ids[j] * stride), |_, s| s);
     }
 
     /// # Safety
@@ -939,31 +933,14 @@ mod avx2 {
         stride: usize,
         out: &mut [f32],
     ) {
-        let dim = t.len();
-        let head = dim - dim % LANES;
-        let pt = t.as_ptr();
-        let ps = step.as_ptr();
         let pc = codes.as_ptr();
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = pc.add(r * stride);
-            let mut acc = _mm256_setzero_ps();
-            let mut i = 0;
-            while i < head {
-                let c = load_codes8(row.add(i));
-                let d = _mm256_sub_ps(
-                    _mm256_loadu_ps(pt.add(i)),
-                    _mm256_mul_ps(c, _mm256_loadu_ps(ps.add(i))),
-                );
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-                i += LANES;
-            }
-            *o = reduce(acc, |l| {
-                for k in 0..dim - head {
-                    let d = t[head + k] - *row.add(head + k) as f32 * step[head + k];
-                    l[k] += d * d;
-                }
-            });
-        }
+        rows(
+            &AdcSq { t, step },
+            t.len(),
+            out,
+            |r| pc.add(r * stride),
+            |_, s| s,
+        );
     }
 
     /// # Safety
@@ -971,31 +948,9 @@ mod avx2 {
     /// `codes.len() >= out.len() * stride`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn adc_dot_block(w: &[f32], codes: &[u8], stride: usize, out: &mut [f32]) {
-        let dim = w.len();
-        let head = dim - dim % LANES;
-        let pw = w.as_ptr();
         let pc = codes.as_ptr();
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = pc.add(r * stride);
-            let mut acc = _mm256_setzero_ps();
-            let mut i = 0;
-            while i < head {
-                let c = load_codes8(row.add(i));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_loadu_ps(pw.add(i)), c));
-                i += LANES;
-            }
-            *o = reduce(acc, |l| {
-                for k in 0..dim - head {
-                    l[k] += w[head + k] * *row.add(head + k) as f32;
-                }
-            });
-        }
+        rows(&AdcDot(w), w.len(), out, |r| pc.add(r * stride), |_, s| s);
     }
-
-    /// Compile-time guard: this module is only ever entered through the
-    /// [`Kernel`] dispatcher.
-    #[allow(dead_code)]
-    const _ARM: Kernel = Kernel::Avx2;
 }
 
 // ---------------------------------------------------------------------
@@ -1004,72 +959,24 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! Row-pair twins of the AVX2 block kernels.
+    //! The one op wider registers win without touching the 8-lane
+    //! canon: `axpy` is elementwise (no reduction), so it runs 16-wide.
+    //! Every reduction dispatches to the AVX2 arm.
     //!
-    //! The 8-lane accumulation canon is a loop-carried dependency per
-    //! row, so a single reduction cannot use wider registers without
-    //! changing the operation order. Independent *rows* can: each
-    //! 512-bit accumulator carries two rows — the row's canonical
-    //! 8-lane chain in each 256-bit half — and one `vsubps`/`vmulps`/
-    //! `vaddps` retires both. The halves never mix until the final
-    //! extract, which feeds the exact [`super::avx2::reduce4`] tree the
-    //! AVX2 arm uses, so every output is bit-identical to the scalar
-    //! canon. `axpy` is elementwise (no reduction), so it simply runs
-    //! 16-wide.
-    //!
-    //! Safety: every function is
-    //! `#[target_feature(enable = "avx512f,avx512dq,avx2")]` and is
-    //! only reached through the dispatcher after
-    //! [`super::avx512_available`] verified all three features.
+    //! Safety: `axpy` is `#[target_feature(enable = "avx512f,avx2")]`
+    //! and is only reached through the dispatcher after
+    //! [`super::avx512_available`] verified both features.
 
     use super::avx2;
-    use crate::ops::LANES;
     use std::arch::x86_64::*;
-
-    /// One row chunk in each 256-bit half: `a` low, `b` high.
-    ///
-    /// # Safety
-    /// AVX-512 F/DQ must be available; 8 floats readable at each
-    /// pointer.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
-    unsafe fn load_pair(a: *const f32, b: *const f32) -> __m512 {
-        _mm512_insertf32x8(
-            _mm512_castps256_ps512(_mm256_loadu_ps(a)),
-            _mm256_loadu_ps(b),
-            1,
-        )
-    }
-
-    /// Widest query the row-pair paths pre-broadcast into registers:
-    /// one `__m512` per 8-element chunk, the query chunk mirrored into
-    /// both halves. Past this the AVX2 scan handles the call.
-    const MAX_CHUNKS: usize = 32;
-
-    /// Pre-broadcast `q`'s chunks (`head` must be a multiple of
-    /// [`LANES`], at most `MAX_CHUNKS` chunks). Hoisting the broadcast
-    /// out of the row loop keeps the shuffle port free for the
-    /// row-pair inserts.
-    ///
-    /// # Safety
-    /// AVX-512 F/DQ must be available; `head` floats readable at `pq`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
-    unsafe fn broadcast_query(pq: *const f32, head: usize) -> [__m512; MAX_CHUNKS] {
-        let mut qv = [_mm512_setzero_ps(); MAX_CHUNKS];
-        for (j, chunk) in qv.iter_mut().take(head / LANES).enumerate() {
-            *chunk = _mm512_broadcast_f32x8(_mm256_loadu_ps(pq.add(j * LANES)));
-        }
-        qv
-    }
 
     /// `y += alpha * x`, 16 components per iteration; the sub-16
     /// remainder reuses the AVX2 twin (8-wide + scalar tail). Every
     /// component sees the same multiply-then-add as `ops::axpy`.
     ///
     /// # Safety
-    /// AVX-512 F/DQ + AVX2 must be available; `x.len() == y.len()`.
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
+    /// AVX-512 F + AVX2 must be available; `x.len() == y.len()`.
+    #[target_feature(enable = "avx512f,avx2")]
     pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         const W: usize = 16;
         let n = x.len();
@@ -1084,120 +991,6 @@ mod avx512 {
             i += W;
         }
         avx2::axpy(alpha, &x[head..], &mut y[head..]);
-    }
-
-    /// Fused flat scan, eight rows per iteration (two per accumulator).
-    /// Remainder rows fall through to the AVX2 quad/pair scan.
-    ///
-    /// # Safety
-    /// AVX-512 F/DQ + AVX2 must be available; `q.len() <= stride`,
-    /// `data.len() >= out.len() * stride`.
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
-    pub unsafe fn sq_dist_block(q: &[f32], data: &[f32], stride: usize, out: &mut [f32]) {
-        let dim = q.len();
-        let head = dim - dim % LANES;
-        let pq = q.as_ptr();
-        let pd = data.as_ptr();
-        let rows = out.len();
-        let mut r = 0;
-        if dim.is_multiple_of(LANES) && dim > 0 && dim <= MAX_CHUNKS * LANES {
-            let qv = broadcast_query(pq, head);
-            let nchunks = head / LANES;
-            while r + 8 <= rows {
-                let p0 = pd.add(r * stride);
-                let p1 = pd.add((r + 1) * stride);
-                let p2 = pd.add((r + 2) * stride);
-                let p3 = pd.add((r + 3) * stride);
-                let p4 = pd.add((r + 4) * stride);
-                let p5 = pd.add((r + 5) * stride);
-                let p6 = pd.add((r + 6) * stride);
-                let p7 = pd.add((r + 7) * stride);
-                let mut a01 = _mm512_setzero_ps();
-                let mut a23 = _mm512_setzero_ps();
-                let mut a45 = _mm512_setzero_ps();
-                let mut a67 = _mm512_setzero_ps();
-                for (j, &vq) in qv.iter().take(nchunks).enumerate() {
-                    let i = j * LANES;
-                    let d01 = _mm512_sub_ps(vq, load_pair(p0.add(i), p1.add(i)));
-                    let d23 = _mm512_sub_ps(vq, load_pair(p2.add(i), p3.add(i)));
-                    let d45 = _mm512_sub_ps(vq, load_pair(p4.add(i), p5.add(i)));
-                    let d67 = _mm512_sub_ps(vq, load_pair(p6.add(i), p7.add(i)));
-                    a01 = _mm512_add_ps(a01, _mm512_mul_ps(d01, d01));
-                    a23 = _mm512_add_ps(a23, _mm512_mul_ps(d23, d23));
-                    a45 = _mm512_add_ps(a45, _mm512_mul_ps(d45, d45));
-                    a67 = _mm512_add_ps(a67, _mm512_mul_ps(d67, d67));
-                }
-                let q0 = avx2::reduce4(
-                    _mm512_castps512_ps256(a01),
-                    _mm512_extractf32x8_ps::<1>(a01),
-                    _mm512_castps512_ps256(a23),
-                    _mm512_extractf32x8_ps::<1>(a23),
-                );
-                let q1 = avx2::reduce4(
-                    _mm512_castps512_ps256(a45),
-                    _mm512_extractf32x8_ps::<1>(a45),
-                    _mm512_castps512_ps256(a67),
-                    _mm512_extractf32x8_ps::<1>(a67),
-                );
-                _mm_storeu_ps(out.as_mut_ptr().add(r), q0);
-                _mm_storeu_ps(out.as_mut_ptr().add(r + 4), q1);
-                r += 8;
-            }
-        }
-        avx2::sq_dist_block(q, &data[r * stride..], stride, &mut out[r..]);
-    }
-
-    /// Gathered dots, four rows per iteration (two per accumulator).
-    /// Remainder rows use per-row AVX2 dots — the same fallback the
-    /// AVX2 quad path carries.
-    ///
-    /// # Safety
-    /// AVX-512 F/DQ + AVX2 must be available; `q.len() <= stride`,
-    /// `ids.len() == out.len()`, every
-    /// `ids[j] * stride + q.len() <= data.len()`.
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
-    pub unsafe fn dot_gather(
-        q: &[f32],
-        data: &[f32],
-        stride: usize,
-        ids: &[usize],
-        out: &mut [f32],
-    ) {
-        let dim = q.len();
-        let head = dim - dim % LANES;
-        let pq = q.as_ptr();
-        let pd = data.as_ptr();
-        let rows = out.len();
-        let mut r = 0;
-        if dim.is_multiple_of(LANES) && dim > 0 && dim <= MAX_CHUNKS * LANES && rows >= 4 {
-            let qv = broadcast_query(pq, head);
-            let nchunks = head / LANES;
-            while r + 4 <= rows {
-                let p0 = pd.add(ids[r] * stride);
-                let p1 = pd.add(ids[r + 1] * stride);
-                let p2 = pd.add(ids[r + 2] * stride);
-                let p3 = pd.add(ids[r + 3] * stride);
-                let mut a01 = _mm512_setzero_ps();
-                let mut a23 = _mm512_setzero_ps();
-                for (j, &vq) in qv.iter().take(nchunks).enumerate() {
-                    let i = j * LANES;
-                    a01 = _mm512_add_ps(a01, _mm512_mul_ps(vq, load_pair(p0.add(i), p1.add(i))));
-                    a23 = _mm512_add_ps(a23, _mm512_mul_ps(vq, load_pair(p2.add(i), p3.add(i))));
-                }
-                let quad = avx2::reduce4(
-                    _mm512_castps512_ps256(a01),
-                    _mm512_extractf32x8_ps::<1>(a01),
-                    _mm512_castps512_ps256(a23),
-                    _mm512_extractf32x8_ps::<1>(a23),
-                );
-                _mm_storeu_ps(out.as_mut_ptr().add(r), quad);
-                r += 4;
-            }
-        }
-        for j in r..rows {
-            let row = std::slice::from_raw_parts(pd.add(ids[j] * stride), dim);
-            out[j] = avx2::dot(q, row);
-        }
     }
 }
 
@@ -1304,9 +1097,10 @@ mod tests {
 
     #[test]
     fn wide_blocks_bit_identical_across_arms() {
-        // rows > 8 with a tail-free dim: exercises the AVX-512
-        // row-pair paths (8-row sq_dist scan, 4-row gathered dots)
-        // plus their remainder handoff into the AVX2 scan.
+        // A tail-free dim with a row count that is not a multiple of
+        // four: exercises the quad path (four rows per transposed
+        // reduce) and the remainder rows that run one at a time, for
+        // the strided scan and the gathered dots alike.
         let dim = 16;
         let stride = 16;
         let rows = 19;
@@ -1390,28 +1184,56 @@ mod tests {
 
     #[test]
     fn adc_kernels_bit_identical_across_arms() {
-        let dim = 21;
-        let stride = 24;
-        let rows = 5;
-        let t = pseudo(7, dim);
-        let step: Vec<f32> = pseudo(8, dim).iter().map(|v| v.abs() / 100.0).collect();
-        let mut rng = crate::rng::Pcg32::with_stream(9, 7);
-        let codes: Vec<u8> = (0..rows * stride)
-            .map(|_| rng.below_usize(256) as u8)
-            .collect();
-        let mut want_sq = vec![0.0f32; rows];
-        let mut want_dot = vec![0.0f32; rows];
-        adc_sq_block_with(Kernel::Scalar, &t, &step, &codes, stride, &mut want_sq);
-        adc_dot_block_with(Kernel::Scalar, &t, &codes, stride, &mut want_dot);
-        for arm in both_arms() {
-            let mut got_sq = vec![0.0f32; rows];
-            let mut got_dot = vec![0.0f32; rows];
-            adc_sq_block_with(arm, &t, &step, &codes, stride, &mut got_sq);
-            adc_dot_block_with(arm, &t, &codes, stride, &mut got_dot);
-            for r in 0..rows {
-                assert_eq!(got_sq[r].to_bits(), want_sq[r].to_bits());
-                assert_eq!(got_dot[r].to_bits(), want_dot[r].to_bits());
+        // Dim 21 carries a tail (every row runs alone); dim 32 is
+        // tail-free, so rows 0..4 take the quad path and row 4 the
+        // remainder.
+        for dim in [21usize, 32] {
+            let stride = dim.div_ceil(8) * 8;
+            let rows = 5;
+            let t = pseudo(7, dim);
+            let step: Vec<f32> = pseudo(8, dim).iter().map(|v| v.abs() / 100.0).collect();
+            let mut rng = crate::rng::Pcg32::with_stream(9, 7);
+            let codes: Vec<u8> = (0..rows * stride)
+                .map(|_| rng.below_usize(256) as u8)
+                .collect();
+            let mut want_sq = vec![0.0f32; rows];
+            let mut want_dot = vec![0.0f32; rows];
+            adc_sq_block_with(Kernel::Scalar, &t, &step, &codes, stride, &mut want_sq);
+            adc_dot_block_with(Kernel::Scalar, &t, &codes, stride, &mut want_dot);
+            for arm in both_arms() {
+                let mut got_sq = vec![0.0f32; rows];
+                let mut got_dot = vec![0.0f32; rows];
+                adc_sq_block_with(arm, &t, &step, &codes, stride, &mut got_sq);
+                adc_dot_block_with(arm, &t, &codes, stride, &mut got_dot);
+                for r in 0..rows {
+                    assert_eq!(got_sq[r].to_bits(), want_sq[r].to_bits(), "dim={dim}");
+                    assert_eq!(got_dot[r].to_bits(), want_dot[r].to_bits(), "dim={dim}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn row_kernels_panic_on_length_mismatch_on_every_arm() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // The short operand is a prefix of a longer buffer, so a kernel
+        // that ran to the long operand's length would read or write
+        // inside one allocation rather than fault.
+        let long = pseudo(31, 64);
+        let mut buf = vec![0.0f32; 64];
+        for arm in both_arms() {
+            let short = &buf[..8];
+            assert!(
+                catch_unwind(|| sq_dist_with(arm, &long, short)).is_err(),
+                "{arm:?}"
+            );
+            assert!(
+                catch_unwind(|| dot_with(arm, &long, short)).is_err(),
+                "{arm:?}"
+            );
+            let y = &mut buf[..8];
+            assert!(catch_unwind(AssertUnwindSafe(|| axpy_with(arm, 1.0, &long, y))).is_err());
+            assert!(buf.iter().all(|&v| v == 0.0), "{arm:?} wrote past y");
         }
     }
 

@@ -5,8 +5,9 @@
 //! accumulates into lane `i % LANES` and the eight lanes collapse
 //! through the fixed [`lane_sum`] tree. This is the workspace's
 //! *canonical* floating-point summation order — [`crate::kernel`]
-//! implements the same kernels with AVX2/AVX-512 intrinsics (one lane
-//! per register slot, the identical reduction tree) and is bit-for-bit
+//! implements the same kernels with AVX2 intrinsics (one lane per
+//! register slot, the identical reduction tree; its AVX-512 arm only
+//! adds a 16-wide `axpy`, which has no reduction) and is bit-for-bit
 //! interchangeable with these reference loops, which is what lets the
 //! index plane dispatch between scalar and SIMD at runtime without the
 //! choice ever being observable in results. Change a kernel here and
