@@ -1,13 +1,15 @@
-//! Qworker serving-path benchmarks: per-query vs batched labeling.
+//! Shard-worker labeling benchmarks: per-query vs batched labeling.
 //!
-//! Pins the win of [`querc_embed::Embedder::embed_batch`] on the hot
-//! path. Doc2Vec is where batching matters most — its per-call setup
+//! A manager's shard worker labels a chunk by embedding the queries
+//! that carry no cached vector in one [`EnrichedQuery::vectors`] call and
+//! predicting the whole chunk in one batched call; this pins the win of
+//! [`querc_embed::Embedder::embed_batch`] on that path. Doc2Vec is where batching matters most — its per-call setup
 //! (the unigram^0.75 alias table over the whole vocabulary) is hoisted
 //! out of the chunk — while bag-of-tokens bounds the benefit from
 //! buffer reuse alone. Throughput is reported in queries/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use querc::{LabeledQuery, QueryClassifier, Qworker, QworkerMode, TrainedLabeler};
+use querc::{EnrichedQuery, QueryClassifier, TrainedLabeler};
 use querc_embed::{BagOfTokens, Doc2Vec, Doc2VecConfig, Embedder, VocabConfig};
 use querc_learn::{ForestConfig, RandomForest};
 use querc_linalg::Pcg32;
@@ -22,12 +24,12 @@ fn snowcloud() -> SnowCloud {
     SnowCloud::generate(&SnowCloudConfig::pretrain(24, 60, 9))
 }
 
-fn serving_stream(workload: &SnowCloud, n: usize) -> Vec<LabeledQuery> {
+fn serving_stream(workload: &SnowCloud, n: usize) -> Vec<String> {
     workload
         .records
         .iter()
         .take(n)
-        .map(|r| LabeledQuery::new(r.sql.clone()))
+        .map(|r| r.sql.clone())
         .collect()
 }
 
@@ -62,18 +64,17 @@ fn doc2vec(workload: &SnowCloud) -> Arc<dyn Embedder> {
     ))
 }
 
-/// Preload a stream into a closed channel and drain it synchronously.
-fn drain_stream(worker: &Qworker, stream: &[LabeledQuery]) -> usize {
-    let (in_tx, in_rx) = crossbeam::channel::unbounded();
-    for lq in stream {
-        in_tx.send(lq.clone()).unwrap();
+/// Label the stream in chunks of `chunk` queries, as a shard worker
+/// does: fresh (uncached) queries, one batched embed and one batched
+/// prediction per chunk.
+fn label_stream(clf: &QueryClassifier, stream: &[String], chunk: usize) -> usize {
+    let mut labeled = 0;
+    for sqls in stream.chunks(chunk) {
+        let queries: Vec<EnrichedQuery> = sqls.iter().map(EnrichedQuery::from_sql).collect();
+        let vectors = EnrichedQuery::vectors(&queries, clf.embedder().as_ref());
+        labeled += black_box(clf.label_vectors_batch(&vectors)).len();
     }
-    drop(in_tx);
-    let (db_tx, _db_rx) = crossbeam::channel::unbounded();
-    let (tr_tx, tr_rx) = crossbeam::channel::unbounded();
-    let n = worker.run(in_rx, db_tx, tr_tx);
-    black_box(tr_rx.iter().count());
-    n
+    labeled
 }
 
 fn bench_qworker(c: &mut Criterion) {
@@ -91,15 +92,9 @@ fn bench_qworker(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("qworker_{tag}"));
         g.sample_size(10);
         g.throughput(Throughput::Elements(stream.len() as u64));
-        // batch=1 → the old per-query path; batch=64 → chunked embed_batch.
-        let per_query =
-            Qworker::new("app-X", vec![Arc::clone(&clf)], QworkerMode::Forked).with_batch(1);
-        g.bench_function("per_query", |b| {
-            b.iter(|| drain_stream(&per_query, &stream))
-        });
-        let batched =
-            Qworker::new("app-X", vec![Arc::clone(&clf)], QworkerMode::Forked).with_batch(64);
-        g.bench_function("batched_64", |b| b.iter(|| drain_stream(&batched, &stream)));
+        // chunk 1 → the per-query path; chunk 64 → chunked embed_batch.
+        g.bench_function("per_query", |b| b.iter(|| label_stream(&clf, &stream, 1)));
+        g.bench_function("batched_64", |b| b.iter(|| label_stream(&clf, &stream, 64)));
         g.finish();
     }
 }

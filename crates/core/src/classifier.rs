@@ -271,30 +271,16 @@ impl QueryClassifier {
         self.labeler.predict(&v).to_string()
     }
 
-    /// Label pre-tokenized input (when the caller already normalized).
-    pub fn label_tokens(&self, tokens: &[String]) -> String {
-        let v = self.embedder.embed(tokens);
-        self.labeler.predict(&v).to_string()
-    }
-
-    /// Label a chunk of pre-tokenized queries through the embedder's
-    /// batched path. Output `i` is the label of `docs[i]`, identical to
-    /// what [`QueryClassifier::label_tokens`] would return.
-    pub fn label_tokens_batch(&self, docs: &[Vec<String>]) -> Vec<String> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.labeler.predict(v).to_string())
-            .collect()
-    }
-
-    /// Label a chunk of **precomputed** vectors — the Qworker hot loop
-    /// on the embed-once ingress plane. `vectors[i]` must come from this
-    /// classifier's embedder (same [`querc_embed::Embedder::cache_namespace`]);
-    /// the output is then identical to embedding and labeling the query
-    /// from scratch. The whole chunk goes through the labeler's batched
-    /// path in **one** call ([`TrainedLabeler::try_predict_refs`]), so
-    /// index-backed models run a single `search_batch` per chunk.
+    /// Label a chunk of **precomputed** vectors. `vectors[i]` must come
+    /// from this classifier's embedder (same
+    /// [`querc_embed::Embedder::cache_namespace`]); the output is then
+    /// identical to [`QueryClassifier::label_sql`] on each query. The
+    /// whole chunk goes through the labeler's batched path in **one**
+    /// call ([`TrainedLabeler::try_predict_refs`]), so index-backed
+    /// models run a single `search_batch` per chunk. Panics when the
+    /// vectors' dimension is not the labeler's; the manager's shard
+    /// workers call `try_predict_refs` directly and label such a chunk
+    /// `classifier_error` instead.
     pub fn label_vectors_batch(&self, vectors: &[Arc<Vec<f32>>]) -> Vec<String> {
         let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
         self.labeler
@@ -371,34 +357,14 @@ mod tests {
     }
 
     #[test]
-    fn label_sql_and_label_tokens_agree() {
-        let clf = train_demo_classifier();
-        let sql = "select col1 from sales_orders where x = 5";
-        let tokens = querc_embed::sql_tokens(sql);
-        assert_eq!(clf.label_sql(sql), clf.label_tokens(&tokens));
-    }
-
-    #[test]
-    fn label_tokens_batch_matches_single_path() {
+    fn label_vectors_batch_matches_token_path() {
+        // The batched, precomputed-vector path agrees query for query
+        // with label_sql, which tokenizes, embeds and predicts one query.
         let clf = train_demo_classifier();
         let sqls = [
             "select col1 from sales_orders where x = 5",
             "insert into app_logs values (9, 'event')",
             "select col4 from sales_orders where x = 77",
-        ];
-        let docs: Vec<Vec<String>> = sqls.iter().map(|s| querc_embed::sql_tokens(s)).collect();
-        let batch = clf.label_tokens_batch(&docs);
-        for (doc, label) in docs.iter().zip(&batch) {
-            assert_eq!(*label, clf.label_tokens(doc));
-        }
-    }
-
-    #[test]
-    fn label_vectors_batch_matches_token_path() {
-        let clf = train_demo_classifier();
-        let sqls = [
-            "select col1 from sales_orders where x = 5",
-            "insert into app_logs values (9, 'event')",
         ];
         let docs: Vec<Vec<String>> = sqls.iter().map(|s| querc_embed::sql_tokens(s)).collect();
         let vectors: Vec<Arc<Vec<f32>>> = clf
@@ -407,10 +373,10 @@ mod tests {
             .into_iter()
             .map(Arc::new)
             .collect();
-        assert_eq!(
-            clf.label_vectors_batch(&vectors),
-            clf.label_tokens_batch(&docs)
-        );
+        let batch = clf.label_vectors_batch(&vectors);
+        let single: Vec<String> = sqls.iter().map(|s| clf.label_sql(s)).collect();
+        assert_eq!(batch, single);
+        assert_eq!(batch, ["team-a", "team-b", "team-a"]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   labeler)* pair — the embedder maps SQL text to a vector
 //!   (`querc-embed`), the labeler maps vectors to string labels
 //!   (`querc-learn`);
-//! * [`qworker::Qworker`]s consume per-application query streams, attach
-//!   labels, and forward the labeled queries to the database and/or the
-//!   training module (paper Fig 1);
+//! * Qworkers — the [`service::WorkloadManager`]'s shard threads —
+//!   consume per-application query streams, attach labels, and forward
+//!   the labeled queries to the database and the training module
+//!   (paper Fig 1);
 //! * the [`training::TrainingModule`] accumulates labeled queries,
 //!   periodically (re)trains embedders and labelers as batch jobs, and
 //!   deploys them through the versioned [`registry::ModelRegistry`];
@@ -79,7 +80,7 @@ pub mod histogram;
 pub mod labeled;
 mod persist;
 pub mod qos;
-pub mod qworker;
+mod qworker;
 pub mod registry;
 pub mod service;
 pub mod training;
@@ -95,7 +96,6 @@ pub use qos::{
     DrrScheduler, QosConfig, QosDrain, RateLimit, RejectReason, TenantPolicy, TenantSnapshot,
     TokenBucket,
 };
-pub use qworker::{Qworker, QworkerMode, TimedQuery};
 pub use registry::{ModelRegistry, RegistryEvent};
 pub use service::{
     lineage_routing_key, routing_key, shard_for, AppThroughput, FittedApp, RoutingPolicy,

@@ -1,36 +1,25 @@
-//! Qworkers — the per-application serving processes of Fig 1.
+//! The Qworker — one shard thread of a
+//! [`crate::service::WorkloadManager`], the per-application serving
+//! process of paper Fig 1.
 //!
-//! A Qworker consumes a stream of queries, runs its classifiers (and,
-//! when serving for a [`crate::service::WorkloadManager`], its
-//! application's batched labeler) to attach labels, and forwards the
-//! labeled query onward: to the database sink, to the central training
-//! module, or both. In *forked* mode (paper §2: "Querc may not be in
-//! the critical path") queries are only mirrored to training and never
-//! forwarded to the database.
+//! A worker drains its shard's bounded queue in **chunks** — one blocking
+//! `recv`, then non-blocking receives up to the batch size — so a busy
+//! stream is embedded and predicted in batches while a trickle flows
+//! query by query with no added latency. With QoS on, arrivals park in
+//! per-tenant subqueues and chunks are dealt by deficit round robin
+//! ([`DrrScheduler`]) instead. Both loops end in one tail,
+//! [`Qworker::finish`]: label the chunk, record each query's
+//! submit→labeled latency, forward every labeled query to the app's
+//! output lane (the database sink) and its training mirror, count it.
 //!
-//! The run loop drains its channel in **chunks**: one blocking `recv`
-//! followed by non-blocking `try_recv` up to the batch size, so a busy
-//! stream is labeled through [`querc_embed::Embedder::embed_batch`]
-//! (amortizing embedder setup) while a trickle still flows query by
-//! query with no added latency.
-//!
-//! Chunks are [`EnrichedQuery`]s: each query's normalized tokens are
-//! lexed **at most once** (memoized — regression-tested against the
-//! lexer's call counter) and embedding vectors attached upstream (the
-//! manager's ingress embed plane) are reused by every classifier and
-//! the app via [`QueryClassifier::label_vectors_batch`] instead of
-//! re-embedding per consumer.
-//!
-//! Classifiers come in two flavors: a **pinned** list fixed at
-//! construction, and **registry-resolved** labels
-//! ([`Qworker::with_registry`]) that are re-resolved from the
-//! [`crate::registry::ModelRegistry`] once per chunk — a concurrent
-//! `deploy` hot-swaps the model *between* chunks, never mid-chunk, so
-//! every chunk is labeled by exactly one model version.
-//!
-//! Qworkers hold no heavyweight state — classifiers and fitted apps are
-//! `Arc`s — so they can be replicated and load-balanced over one MPMC
-//! stream.
+//! Labels come from the `application` name, every registry classifier
+//! named in [`crate::service::WorkloadManagerConfig::attach_labels`] and
+//! the fitted app. Each query is lexed at most once and each embedder
+//! embeds it at most once (memoized on the [`EnrichedQuery`], reusing
+//! ingress-cached vectors). Registry classifiers are re-resolved once
+//! per chunk, so a concurrent `deploy` hot-swaps the model between
+//! chunks, never inside one. A classifier or app that fails on a chunk
+//! labels it `classifier_error` / `app_error`, and the shard serves on.
 
 use crate::classifier::QueryClassifier;
 use crate::enriched::EnrichedQuery;
@@ -44,261 +33,100 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default maximum chunk a worker drains per iteration.
-pub const DEFAULT_BATCH: usize = 32;
-
-/// A query stamped with its submit time — the message type on sharded
-/// manager streams, letting the consuming worker record client-
-/// perceived submit→labeled latency into the app's
-/// [`LatencyHistogram`]. Carries an [`EnrichedQuery`] so ingress-derived
-/// artifacts (tokens, fingerprint, cached vectors) ride along to the
-/// shard instead of being recomputed there.
-#[derive(Debug, Clone)]
-pub struct TimedQuery {
+/// A query stamped with its submit time — the message on shard queues.
+/// The [`EnrichedQuery`] carries ingress artifacts (tokens, fingerprint,
+/// cached vectors) to the shard instead of recomputing them there.
+pub(crate) struct TimedQuery {
     /// The query being served, with its derived artifacts.
-    pub query: EnrichedQuery,
-    /// When the producer called `submit`/`submit_batch`. Stamped before
-    /// ingress embedding and the (possibly blocking) send, so under
-    /// backpressure the measured latency includes both the embed work
-    /// and the wait for queue space — what a client would actually
-    /// observe, not just time spent inside the queue.
-    pub enqueued_at: Instant,
+    pub(crate) query: EnrichedQuery,
+    /// When the producer called `submit`/`submit_batch`: before ingress
+    /// embedding and the (possibly blocking) send, so the measured
+    /// latency is what a client observes, not just time in the queue.
+    pub(crate) enqueued_at: Instant,
 }
 
-impl TimedQuery {
-    /// Stamp `query` with the current time.
-    pub fn now(query: impl Into<EnrichedQuery>) -> TimedQuery {
-        TimedQuery {
-            query: query.into(),
-            enqueued_at: Instant::now(),
+/// Everything one shard of one registered app serves with.
+pub(crate) struct Qworker {
+    /// The fitted app labeling every chunk; its name is the
+    /// `application` label.
+    pub(crate) app: Arc<FittedApp>,
+    /// Where `labels` are resolved, once per chunk.
+    pub(crate) registry: Arc<ModelRegistry>,
+    /// Registry classifiers attached as `predicted_<label>`; one that is
+    /// undeployed at a chunk boundary is skipped for that chunk.
+    pub(crate) labels: Vec<String>,
+    /// Maximum chunk size (≥ 1).
+    pub(crate) batch: usize,
+    /// The app's live counters; the worker bumps `processed`.
+    pub(crate) counters: Arc<AppCounters>,
+    /// The app's submit→labeled latency histogram.
+    pub(crate) histogram: Arc<LatencyHistogram>,
+    /// `Some` drains the shard by deficit round robin and reports
+    /// per-tenant completions.
+    pub(crate) qos: Option<Arc<QosState>>,
+    /// The output lane (the database sink).
+    pub(crate) output: Sender<LabeledQuery>,
+    /// The training mirror.
+    pub(crate) training: Sender<LabeledQuery>,
+}
+
+/// A chunk being assembled: queries and their submit stamps, in the
+/// order they will be labeled.
+struct Chunk {
+    queries: Vec<EnrichedQuery>,
+    stamps: Vec<Instant>,
+}
+
+impl Chunk {
+    fn new(capacity: usize) -> Chunk {
+        Chunk {
+            queries: Vec::with_capacity(capacity),
+            stamps: Vec::with_capacity(capacity),
         }
     }
 
-    /// Re-stamp an already-enriched query (the manager stamps before
-    /// ingress embedding; see [`TimedQuery::enqueued_at`]).
-    pub fn at(query: EnrichedQuery, enqueued_at: Instant) -> TimedQuery {
-        TimedQuery { query, enqueued_at }
+    fn push(&mut self, t: TimedQuery) {
+        self.queries.push(t.query);
+        self.stamps.push(t.enqueued_at);
     }
-}
-
-/// Where the Qworker forwards labeled queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QworkerMode {
-    /// In the critical path: forward to the database AND the trainer.
-    Inline,
-    /// Off the critical path: mirror to the trainer only.
-    Forked,
-}
-
-/// A per-application worker applying (embedder, labeler) classifiers
-/// and, optionally, one fitted [`crate::apps::WorkloadApp`].
-pub struct Qworker {
-    /// Application name (e.g. `app-X`), attached as a label.
-    pub application: String,
-    classifiers: Vec<Arc<QueryClassifier>>,
-    registry: Option<(Arc<ModelRegistry>, Vec<String>)>,
-    app: Option<Arc<FittedApp>>,
-    mode: QworkerMode,
-    batch: usize,
-    counters: Option<Arc<AppCounters>>,
-    histogram: Option<Arc<LatencyHistogram>>,
-    qos: Option<Arc<QosState>>,
 }
 
 impl Qworker {
-    /// A worker for `application` applying the given classifiers.
-    pub fn new(
-        application: impl Into<String>,
-        classifiers: Vec<Arc<QueryClassifier>>,
-        mode: QworkerMode,
-    ) -> Self {
-        Qworker {
-            application: application.into(),
-            classifiers,
-            registry: None,
-            app: None,
-            mode,
-            batch: DEFAULT_BATCH,
-            counters: None,
-            histogram: None,
-            qos: None,
+    /// Serve `input` until every sender is dropped and everything
+    /// accepted is labeled and forwarded. Run it on the shard's one
+    /// thread: a single FIFO consumer is what makes hash routing an
+    /// ordering guarantee.
+    pub(crate) fn run(self, input: Receiver<TimedQuery>) {
+        match self.qos.clone() {
+            Some(qos) => self.run_drr(&qos, input),
+            None => self.run_fifo(input),
         }
     }
 
-    /// Attach a fitted application whose `label_batch` runs on every
-    /// chunk (the manager's serving path).
-    pub fn with_app(mut self, app: Arc<FittedApp>) -> Self {
-        self.app = Some(app);
-        self
-    }
-
-    /// Additionally attach every `labels` classifier resolved from
-    /// `registry`, re-resolved **once per chunk**: a concurrent
-    /// [`ModelRegistry::deploy`] takes effect at the next chunk boundary
-    /// (live hot-swap without re-registering the app), while each chunk
-    /// is labeled by exactly one pinned model version — never a mid-chunk
-    /// mix. A label that is currently undeployed is skipped for the whole
-    /// chunk.
-    pub fn with_registry(mut self, registry: Arc<ModelRegistry>, labels: Vec<String>) -> Self {
-        self.registry = Some((registry, labels));
-        self
-    }
-
-    /// Maximum chunk size drained per loop iteration (≥ 1).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
-    /// Live throughput counters shared with the manager.
-    pub fn with_counter(mut self, counters: Arc<AppCounters>) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    /// Shared latency histogram; [`Qworker::run_timed`] records each
-    /// query's enqueue→labeled latency into it.
-    pub fn with_histogram(mut self, histogram: Arc<LatencyHistogram>) -> Self {
-        self.histogram = Some(histogram);
-        self
-    }
-
-    /// Attach the manager's QoS state: [`Qworker::run_timed`] then
-    /// drains its shard through a per-tenant [`DrrScheduler`] (weights
-    /// and quantum from `qos`) instead of the raw channel FIFO, and
-    /// reports per-query completions into the per-tenant accounting.
-    pub fn with_qos(mut self, qos: Arc<QosState>) -> Self {
-        self.qos = Some(qos);
-        self
-    }
-
-    /// Label one query with every classifier (and the app, if any).
-    pub fn process(&self, lq: LabeledQuery) -> LabeledQuery {
-        self.process_chunk(vec![EnrichedQuery::new(lq)])
-            .pop()
-            .expect("one in, one out")
-    }
-
-    /// Label a chunk: each query is lexed at most once (memoized in its
-    /// [`EnrichedQuery`]), each embedder in play embeds a query at most
-    /// once (ingress-cached vectors are reused, worker-computed ones are
-    /// memoized back onto the query), then every classifier and the
-    /// fitted app label from the shared vectors. Output `i` corresponds
-    /// to input `i`.
-    pub fn process_chunk(&self, mut chunk: Vec<EnrichedQuery>) -> Vec<LabeledQuery> {
-        if chunk.is_empty() {
-            return Vec::new();
-        }
-        for q in &mut chunk {
-            q.set("application", &self.application);
-        }
-        for clf in &self.classifiers {
-            Self::apply_classifier(&mut chunk, clf);
-        }
-        if let Some((registry, labels)) = &self.registry {
-            for label in labels {
-                // Resolve once per chunk and hold the Arc until the whole
-                // chunk is labeled: a concurrent deploy swaps model
-                // versions at chunk boundaries, never inside one.
-                if let Some(clf) = registry.get(label) {
-                    Self::apply_classifier(&mut chunk, &clf);
-                }
+    /// The FIFO loop: block for the first query of each chunk, then
+    /// greedily fill it up to the batch size.
+    fn run_fifo(&self, input: Receiver<TimedQuery>) {
+        while let Ok(first) = input.recv() {
+            let mut chunk = Chunk::new(self.batch);
+            chunk.push(first);
+            for t in input.try_iter().take(self.batch - 1) {
+                chunk.push(t);
             }
-        }
-        if let Some(app) = &self.app {
-            // Pre-fill the app embedder's vectors (memoized) so
-            // `label_batch`, which sees the chunk immutably, finds them.
-            if let Some(embedder) = app.embedder() {
-                let _ = EnrichedQuery::vectors_memo(&mut chunk, embedder.as_ref());
-            }
-            match app.label_batch(&chunk) {
-                Ok(outputs) => {
-                    for (q, out) in chunk.iter_mut().zip(outputs) {
-                        out.apply_to(q.labeled_mut());
-                    }
-                }
-                Err(e) => {
-                    // Serving must not die on one bad chunk: surface the
-                    // failure as a label and keep the stream moving.
-                    for q in &mut chunk {
-                        q.set("app_error", e.to_string());
-                    }
-                }
-            }
-        }
-        chunk.into_iter().map(EnrichedQuery::into_labeled).collect()
-    }
-
-    /// Attach one classifier's `predicted_<label>` to every query in the
-    /// chunk, labeling from shared vectors: cached ones are reused, the
-    /// rest are embedded in one batched call and memoized for the next
-    /// consumer of the same embedder.
-    fn apply_classifier(chunk: &mut [EnrichedQuery], clf: &QueryClassifier) {
-        let vectors = EnrichedQuery::vectors_memo(chunk, clf.embedder().as_ref());
-        let values = clf.label_vectors_batch(&vectors);
-        for (q, value) in chunk.iter_mut().zip(values) {
-            q.set(format!("predicted_{}", clf.label_name), value);
+            self.finish(chunk, None);
         }
     }
 
-    /// Drain a stream until it closes, forwarding per the mode. Returns
-    /// the number of queries processed. Run this on a thread per
-    /// application; all channels are crossbeam MPMC so workers can be
-    /// replicated on the same stream.
-    pub fn run(
-        &self,
-        input: Receiver<LabeledQuery>,
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
-    ) -> usize {
-        self.run_loop(
-            input,
-            |lq| (EnrichedQuery::new(lq), None),
-            database,
-            trainer,
-        )
-    }
-
-    /// [`Qworker::run`] over a stream of [`TimedQuery`]s — the sharded
-    /// manager's per-shard loop. Each query's enqueue→labeled latency is
-    /// recorded into the histogram installed by
-    /// [`Qworker::with_histogram`]. With [`Qworker::with_qos`] attached,
-    /// the shard is drained fairly: arrivals are parked in per-tenant
-    /// subqueues and chunks are assembled by deficit round robin, so one
-    /// tenant's backlog cannot monopolize the shard.
-    pub fn run_timed(
-        &self,
-        input: Receiver<TimedQuery>,
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
-    ) -> usize {
-        if let Some(qos) = &self.qos {
-            return self.run_drr(Arc::clone(qos), input, database, trainer);
-        }
-        self.run_loop(input, |t| (t.query, Some(t.enqueued_at)), database, trainer)
-    }
-
-    /// The QoS drain loop: pull every available arrival off the bounded
-    /// channel into the per-tenant [`DrrScheduler`] (the channel stays
-    /// short — the per-tenant admission cap is what bounds scheduler
-    /// memory), then dequeue one fair chunk and label it. Per-tenant
-    /// FIFO still holds end to end: the channel preserves arrival order
-    /// and the scheduler only ever pops a tenant's subqueue from the
-    /// front.
-    fn run_drr(
-        &self,
-        qos: Arc<QosState>,
-        input: Receiver<TimedQuery>,
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
-    ) -> usize {
+    /// The QoS loop: pull every available arrival off the bounded
+    /// channel into the per-tenant [`DrrScheduler`] (the per-tenant
+    /// admission cap bounds its memory), then dequeue one fair chunk and
+    /// label it. Per-tenant FIFO holds end to end: the channel keeps
+    /// arrival order and the scheduler pops each subqueue from the front.
+    fn run_drr(&self, qos: &QosState, input: Receiver<TimedQuery>) {
         let mut sched: DrrScheduler<TimedQuery> = DrrScheduler::new(qos.quantum());
         let mut open = true;
-        let mut processed = 0usize;
         let enqueue = |sched: &mut DrrScheduler<TimedQuery>, t: TimedQuery| {
             let tenant = routing_key(t.query.labeled()).to_string();
-            let weight = qos.weight_of(&tenant);
-            sched.enqueue(&tenant, weight, t);
+            sched.enqueue(&tenant, qos.weight_of(&tenant), t);
         };
         while open || !sched.is_empty() {
             if open && sched.is_empty() {
@@ -311,8 +139,8 @@ impl Qworker {
                     }
                 }
             }
-            // Greedily absorb everything already queued so the scheduler
-            // sees the full cross-tenant picture before picking a chunk.
+            // Absorb everything already queued so the scheduler sees the
+            // full cross-tenant picture before picking a chunk.
             while open {
                 match input.try_recv() {
                     Ok(t) => enqueue(&mut sched, t),
@@ -324,101 +152,113 @@ impl Qworker {
             if timed.is_empty() {
                 continue;
             }
-            let mut chunk = Vec::with_capacity(timed.len());
-            let mut stamps = Vec::with_capacity(timed.len());
-            let mut tenants = Vec::with_capacity(timed.len());
+            let tenants: Vec<String> = timed
+                .iter()
+                .map(|t| routing_key(t.query.labeled()).to_string())
+                .collect();
+            let mut chunk = Chunk::new(timed.len());
             for t in timed {
-                tenants.push(routing_key(t.query.labeled()).to_string());
-                stamps.push(t.enqueued_at);
-                chunk.push(t.query);
+                chunk.push(t);
             }
-            let n = chunk.len();
-            let labeled_chunk = self.process_chunk(chunk);
-            let done = Instant::now();
-            for (tenant, at) in tenants.iter().zip(&stamps) {
-                let elapsed = done.duration_since(*at);
-                if let Some(histogram) = &self.histogram {
-                    histogram.record(elapsed);
-                }
-                qos.complete(tenant, Some(elapsed));
-            }
-            for labeled in labeled_chunk {
-                if self.mode == QworkerMode::Inline {
-                    let _ = database.send(labeled.clone());
-                }
-                let _ = trainer.send(labeled);
-            }
-            processed += n;
-            if let Some(counters) = &self.counters {
-                counters.processed.fetch_add(n as u64, Ordering::Relaxed);
-            }
+            self.finish(chunk, Some((qos, &tenants)));
         }
-        processed
     }
 
-    /// The chunked drain loop shared by [`Qworker::run`] and
-    /// [`Qworker::run_timed`]: one blocking `recv` per chunk, greedy
-    /// non-blocking fill up to the batch size, one `process_chunk`.
-    fn run_loop<T>(
-        &self,
-        input: Receiver<T>,
-        split: impl Fn(T) -> (EnrichedQuery, Option<Instant>),
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
-    ) -> usize {
-        let mut processed = 0usize;
-        // Block for the first query of each chunk, then greedily fill it.
-        while let Ok(first) = input.recv() {
-            let mut chunk = Vec::with_capacity(self.batch);
-            let mut stamps = Vec::with_capacity(self.batch);
-            let (lq, at) = split(first);
-            chunk.push(lq);
-            stamps.push(at);
-            while chunk.len() < self.batch {
-                match input.try_recv() {
-                    Ok(msg) => {
-                        let (lq, at) = split(msg);
-                        chunk.push(lq);
-                        stamps.push(at);
-                    }
-                    Err(_) => break,
-                }
-            }
-            let n = chunk.len();
-            let labeled_chunk = self.process_chunk(chunk);
-            if let Some(histogram) = &self.histogram {
-                let done = Instant::now();
-                for at in stamps.iter().flatten() {
-                    histogram.record(done.duration_since(*at));
-                }
-            }
-            for labeled in labeled_chunk {
-                if self.mode == QworkerMode::Inline {
-                    // The sink may have hung up (tests, shutdown); labeling
-                    // continues because the training mirror matters more.
-                    let _ = database.send(labeled.clone());
-                }
-                let _ = trainer.send(labeled);
-            }
-            processed += n;
-            if let Some(counters) = &self.counters {
-                counters.processed.fetch_add(n as u64, Ordering::Relaxed);
+    /// The one chunk tail of both loops: label, record each query's
+    /// submit→labeled latency (and, under QoS, its tenant's completion),
+    /// forward every labeled query to both lanes, count the chunk.
+    fn finish(&self, chunk: Chunk, qos: Option<(&QosState, &[String])>) {
+        let n = chunk.queries.len();
+        let labeled = self.process_chunk(chunk.queries);
+        let done = Instant::now();
+        for (i, at) in chunk.stamps.iter().enumerate() {
+            let elapsed = done.duration_since(*at);
+            self.histogram.record(elapsed);
+            if let Some((qos, tenants)) = qos {
+                qos.complete(&tenants[i], Some(elapsed));
             }
         }
-        processed
+        for lq in labeled {
+            // The sink may have hung up (tests, shutdown); labeling
+            // continues because the training mirror matters more.
+            let _ = self.output.send(lq.clone());
+            let _ = self.training.send(lq);
+        }
+        self.counters
+            .processed
+            .fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Label a chunk with the `application` name, every resolved
+    /// registry classifier and the app. Output `i` is input `i`.
+    fn process_chunk(&self, mut chunk: Vec<EnrichedQuery>) -> Vec<LabeledQuery> {
+        let application = self.app.name();
+        for q in &mut chunk {
+            q.set("application", application);
+        }
+        for label in &self.labels {
+            // Hold the resolved Arc until the whole chunk is labeled: a
+            // concurrent deploy swaps versions between chunks only.
+            if let Some(clf) = self.registry.get(label) {
+                Self::apply_classifier(&mut chunk, &clf);
+            }
+        }
+        // Pre-fill the app embedder's vectors (memoized) so
+        // `label_batch`, which sees the chunk immutably, finds them.
+        if let Some(embedder) = self.app.embedder() {
+            let _ = EnrichedQuery::vectors_memo(&mut chunk, embedder.as_ref());
+        }
+        match self.app.label_batch(&chunk) {
+            Ok(outputs) => {
+                for (q, out) in chunk.iter_mut().zip(outputs) {
+                    out.apply_to(q.labeled_mut());
+                }
+            }
+            Err(e) => {
+                for q in &mut chunk {
+                    q.set("app_error", e.to_string());
+                }
+            }
+        }
+        chunk.into_iter().map(EnrichedQuery::into_labeled).collect()
+    }
+
+    /// Attach one classifier's `predicted_<label>` to every query in the
+    /// chunk from shared vectors (cached ones reused, the rest embedded
+    /// in one batch and memoized), in one batched prediction. A labeler
+    /// that rejects the vectors labels the chunk `classifier_error`.
+    fn apply_classifier(chunk: &mut [EnrichedQuery], clf: &QueryClassifier) {
+        let vectors = EnrichedQuery::vectors_memo(chunk, clf.embedder().as_ref());
+        let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
+        match clf.labeler().try_predict_refs(&refs) {
+            Ok(values) => {
+                let name = format!("predicted_{}", clf.label_name);
+                for (q, value) in chunk.iter_mut().zip(values) {
+                    q.set(name.as_str(), value);
+                }
+            }
+            Err(e) => {
+                let error = format!("{}: {e}", clf.label_name);
+                for q in chunk.iter_mut() {
+                    q.set("classifier_error", error.as_str());
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{ResourcesApp, TrainCorpus};
     use crate::classifier::TrainedLabeler;
     use crossbeam::channel::unbounded;
     use querc_embed::{BagOfTokens, Embedder};
     use querc_learn::{ForestConfig, RandomForest};
     use querc_linalg::Pcg32;
+    use querc_workloads::QueryRecord;
 
-    fn team_classifier() -> Arc<QueryClassifier> {
+    fn team_classifier(label: &str) -> QueryClassifier {
         let embedder: Arc<dyn Embedder> = Arc::new(BagOfTokens::new(64, true));
         let sqls: Vec<String> = (0..20)
             .map(|i| {
@@ -439,127 +279,10 @@ mod tests {
             &labels,
             &mut Pcg32::new(5),
         );
-        Arc::new(QueryClassifier::new("workload_class", embedder, labeler))
+        QueryClassifier::new(label, embedder, labeler)
     }
 
-    #[test]
-    fn process_attaches_application_and_predictions() {
-        let worker = Qworker::new("app-X", vec![team_classifier()], QworkerMode::Inline);
-        let out = worker.process(LabeledQuery::new("select a2 from warehouse_facts"));
-        assert_eq!(out.get("application"), Some("app-X"));
-        assert_eq!(out.get("predicted_workload_class"), Some("analytics"));
-    }
-
-    #[test]
-    fn process_chunk_matches_query_at_a_time() {
-        let worker = Qworker::new("app-X", vec![team_classifier()], QworkerMode::Inline);
-        let sqls = [
-            "select a4 from warehouse_facts",
-            "insert into event_log values (9)",
-            "select a8 from warehouse_facts",
-        ];
-        let chunk: Vec<EnrichedQuery> = sqls.iter().map(|s| EnrichedQuery::from_sql(*s)).collect();
-        let batched = worker.process_chunk(chunk);
-        for (sql, out) in sqls.iter().zip(&batched) {
-            let single = worker.process(LabeledQuery::new(*sql));
-            assert_eq!(*out, single, "chunked and single paths must agree");
-        }
-    }
-
-    #[test]
-    fn inline_mode_forwards_to_database_and_trainer() {
-        let (in_tx, in_rx) = unbounded();
-        let (db_tx, db_rx) = unbounded();
-        let (tr_tx, tr_rx) = unbounded();
-        let worker = Qworker::new("app-X", vec![team_classifier()], QworkerMode::Inline);
-        for i in 0..5 {
-            in_tx
-                .send(LabeledQuery::new(format!(
-                    "insert into event_log values ({i})"
-                )))
-                .unwrap();
-        }
-        drop(in_tx);
-        let n = worker.run(in_rx, db_tx, tr_tx);
-        assert_eq!(n, 5);
-        assert_eq!(db_rx.iter().count(), 5);
-        assert_eq!(tr_rx.iter().count(), 5);
-    }
-
-    #[test]
-    fn forked_mode_skips_database() {
-        let (in_tx, in_rx) = unbounded();
-        let (db_tx, db_rx) = unbounded();
-        let (tr_tx, tr_rx) = unbounded();
-        let worker = Qworker::new("app-Y", vec![team_classifier()], QworkerMode::Forked);
-        in_tx.send(LabeledQuery::new("select 1")).unwrap();
-        drop(in_tx);
-        worker.run(in_rx, db_tx, tr_tx);
-        assert_eq!(db_rx.iter().count(), 0, "forked mode mirrors only");
-        assert_eq!(tr_rx.iter().count(), 1);
-    }
-
-    #[test]
-    fn replicated_workers_share_a_stream() {
-        let (in_tx, in_rx) = unbounded();
-        let (db_tx, _db_rx) = unbounded();
-        let (tr_tx, tr_rx) = unbounded();
-        let mut handles = Vec::new();
-        for w in 0..3 {
-            let rx = in_rx.clone();
-            let db = db_tx.clone();
-            let tr = tr_tx.clone();
-            let clf = team_classifier();
-            handles.push(std::thread::spawn(move || {
-                let worker = Qworker::new(format!("app-{w}"), vec![clf], QworkerMode::Forked);
-                worker.run(rx, db, tr)
-            }));
-        }
-        drop(db_tx);
-        drop(tr_tx);
-        for i in 0..60 {
-            in_tx
-                .send(LabeledQuery::new(format!(
-                    "select {i} from warehouse_facts"
-                )))
-                .unwrap();
-        }
-        drop(in_tx);
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 60, "every query processed exactly once");
-        assert_eq!(tr_rx.iter().count(), 60);
-    }
-
-    #[test]
-    fn tiny_batch_size_still_processes_everything() {
-        let (in_tx, in_rx) = unbounded();
-        let (db_tx, db_rx) = unbounded();
-        let (tr_tx, tr_rx) = unbounded();
-        let worker =
-            Qworker::new("app-X", vec![team_classifier()], QworkerMode::Inline).with_batch(1);
-        for i in 0..7 {
-            in_tx
-                .send(LabeledQuery::new(format!(
-                    "select a{i} from warehouse_facts"
-                )))
-                .unwrap();
-        }
-        drop(in_tx);
-        assert_eq!(worker.run(in_rx, db_tx, tr_tx), 7);
-        assert_eq!(db_rx.iter().count(), 7);
-        assert_eq!(tr_rx.iter().count(), 7);
-    }
-
-    #[test]
-    fn chunk_lexes_each_query_exactly_once() {
-        use crate::apps::{ResourcesApp, TrainCorpus};
-        use crate::service::FittedApp;
-        use querc_workloads::QueryRecord;
-
-        // Two classifiers with *distinct* embedder configs plus a fitted
-        // app: before the EnrichedQuery memoization, each consumer
-        // re-tokenized the chunk (4 lexes per query); now the OnceLock
-        // serves every consumer from one lex.
+    fn resources_app() -> Arc<FittedApp> {
         let records: Vec<QueryRecord> = (0..30)
             .map(|i| QueryRecord {
                 sql: format!("select v from kv_store where k = {i}"),
@@ -574,19 +297,121 @@ mod tests {
             })
             .collect();
         let corpus = TrainCorpus::from_records(records, 3);
-        let app = Arc::new(
-            FittedApp::fit(
-                ResourcesApp::new(Arc::new(BagOfTokens::new(32, false))),
-                &corpus,
-            )
-            .unwrap(),
+        let app = ResourcesApp::new(Arc::new(BagOfTokens::new(32, false)));
+        Arc::new(FittedApp::fit(app, &corpus).unwrap())
+    }
+
+    /// A shard worker for the resources app attaching `labels` from
+    /// `registry`, plus its output and training receivers.
+    fn worker(
+        registry: &Arc<ModelRegistry>,
+        labels: &[&str],
+        batch: usize,
+    ) -> (Qworker, Receiver<LabeledQuery>, Receiver<LabeledQuery>) {
+        let (output, output_rx) = unbounded();
+        let (training, training_rx) = unbounded();
+        let worker = Qworker {
+            app: resources_app(),
+            registry: Arc::clone(registry),
+            labels: labels.iter().map(|l| l.to_string()).collect(),
+            batch,
+            counters: Arc::default(),
+            histogram: Arc::new(LatencyHistogram::new()),
+            qos: None,
+            output,
+            training,
+        };
+        (worker, output_rx, training_rx)
+    }
+
+    /// A registry with the team classifier deployed as `workload_class`.
+    fn team_registry() -> Arc<ModelRegistry> {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.deploy("workload_class", team_classifier("workload_class"));
+        registry
+    }
+
+    /// Run `worker` over `sqls` on a closed stream; returns its counters.
+    fn serve(worker: Qworker, sqls: impl IntoIterator<Item = String>) -> Arc<AppCounters> {
+        let (tx, rx) = unbounded();
+        for sql in sqls {
+            let query = EnrichedQuery::from_sql(sql);
+            let enqueued_at = Instant::now();
+            tx.send(TimedQuery { query, enqueued_at }).unwrap();
+        }
+        drop(tx);
+        let counters = Arc::clone(&worker.counters);
+        worker.run(rx);
+        counters
+    }
+
+    #[test]
+    fn process_attaches_application_and_predictions() {
+        let (worker, _, _) = worker(&team_registry(), &["workload_class"], 32);
+        let chunk = vec![EnrichedQuery::from_sql("select a2 from warehouse_facts")];
+        let out = worker.process_chunk(chunk).pop().unwrap();
+        assert_eq!(out.get("application"), Some("resources"));
+        assert_eq!(out.get("predicted_workload_class"), Some("analytics"));
+        assert!(out.get("resource_class").is_some());
+    }
+
+    #[test]
+    fn process_chunk_matches_query_at_a_time() {
+        let (worker, _, _) = worker(&team_registry(), &["workload_class"], 32);
+        let sqls = [
+            "select a4 from warehouse_facts",
+            "insert into event_log values (9)",
+            "select a8 from warehouse_facts",
+        ];
+        let chunk: Vec<EnrichedQuery> = sqls.iter().map(|s| EnrichedQuery::from_sql(*s)).collect();
+        let batched = worker.process_chunk(chunk);
+        for (sql, out) in sqls.iter().zip(&batched) {
+            let single = worker.process_chunk(vec![EnrichedQuery::from_sql(*sql)]);
+            assert_eq!(*out, single[0], "chunked and single paths must agree");
+        }
+    }
+
+    #[test]
+    fn inline_mode_forwards_to_database_and_trainer() {
+        // Every worker is inline: each labeled query goes to the output
+        // lane (the database sink) and to the training mirror.
+        let (worker, db_rx, tr_rx) = worker(&team_registry(), &["workload_class"], 32);
+        let histogram = Arc::clone(&worker.histogram);
+        let counters = serve(
+            worker,
+            (0..5).map(|i| format!("insert into event_log values ({i})")),
         );
-        let worker = Qworker::new(
-            "app-X",
-            vec![team_classifier(), team_classifier()],
-            QworkerMode::Inline,
-        )
-        .with_app(app);
+        assert_eq!(counters.processed.load(Ordering::Relaxed), 5);
+        assert_eq!(histogram.snapshot().count, 5);
+        let outputs: Vec<LabeledQuery> = db_rx.iter().collect();
+        assert_eq!(outputs, tr_rx.iter().collect::<Vec<_>>());
+        assert_eq!(outputs.len(), 5);
+        for lq in &outputs {
+            assert_eq!(lq.get("predicted_workload_class"), Some("ingest"));
+        }
+    }
+
+    #[test]
+    fn tiny_batch_size_still_processes_everything() {
+        let (worker, db_rx, tr_rx) = worker(&team_registry(), &["workload_class"], 1);
+        let counters = serve(
+            worker,
+            (0..7).map(|i| format!("select a{i} from warehouse_facts")),
+        );
+        assert_eq!(counters.processed.load(Ordering::Relaxed), 7);
+        assert_eq!(db_rx.iter().count(), 7);
+        assert_eq!(tr_rx.iter().count(), 7);
+    }
+
+    #[test]
+    fn chunk_lexes_each_query_exactly_once() {
+        // Two registry classifiers plus a fitted app with a *distinct*
+        // embedder config: before the EnrichedQuery memoization, each
+        // consumer re-tokenized the chunk (3 lexes per query); now the
+        // OnceLock serves every consumer from one lex.
+        let registry = team_registry();
+        registry.deploy("workload_class_2", team_classifier("workload_class_2"));
+        let (worker, _, _) = worker(&registry, &["workload_class", "workload_class_2"], 32);
 
         let chunk: Vec<EnrichedQuery> = (0..9)
             .map(|i| EnrichedQuery::from_sql(format!("select a{i} from warehouse_facts")))
@@ -601,14 +426,13 @@ mod tests {
         );
         for lq in &labeled {
             assert!(lq.get("predicted_workload_class").is_some());
+            assert!(lq.get("predicted_workload_class_2").is_some());
             assert!(lq.get("resource_class").is_some());
         }
     }
 
     #[test]
     fn registry_hot_swap_is_never_mid_chunk() {
-        use crate::registry::ModelRegistry;
-
         // A classifier whose every prediction is its version tag: train
         // a single-class labeler so predict() is constant.
         fn tagged(tag: &str) -> QueryClassifier {
@@ -629,8 +453,7 @@ mod tests {
 
         let registry = Arc::new(ModelRegistry::new());
         registry.deploy("version", tagged("v0"));
-        let worker = Qworker::new("app-X", Vec::new(), QworkerMode::Forked)
-            .with_registry(Arc::clone(&registry), vec!["version".to_string()]);
+        let (worker, _, _) = worker(&registry, &["version"], 32);
 
         // Deployer thread: hot-swaps (and briefly undeploys) while the
         // main thread labels chunks.
@@ -676,15 +499,10 @@ mod tests {
 
     #[test]
     fn hung_up_database_does_not_stop_labeling() {
-        let (in_tx, in_rx) = unbounded();
-        let (db_tx, db_rx) = unbounded();
+        let (worker, db_rx, tr_rx) = worker(&team_registry(), &["workload_class"], 32);
         drop(db_rx); // database sink gone
-        let (tr_tx, tr_rx) = unbounded();
-        let worker = Qworker::new("app-X", vec![team_classifier()], QworkerMode::Inline);
-        in_tx.send(LabeledQuery::new("select 1")).unwrap();
-        drop(in_tx);
-        let n = worker.run(in_rx, db_tx, tr_tx);
-        assert_eq!(n, 1);
+        let counters = serve(worker, ["select 1".to_string()]);
+        assert_eq!(counters.processed.load(Ordering::Relaxed), 1);
         assert_eq!(tr_rx.iter().count(), 1);
     }
 }

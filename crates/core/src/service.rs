@@ -2,12 +2,13 @@
 //!
 //! A [`WorkloadManager`] owns the versioned [`ModelRegistry`], registers
 //! applications by name, and shards each app's query stream across
-//! [`WorkloadManagerConfig::shards_per_app`] single-consumer [`Qworker`]
-//! threads. Producers call [`WorkloadManager::submit`] /
-//! [`WorkloadManager::submit_batch`]; each query is hash-routed to one
-//! shard by its tenant key (see [`routing_key`]), so all of a tenant's
-//! queries land on the same FIFO queue and their relative order is
-//! preserved end to end. Shard queues are **bounded**
+//! [`WorkloadManagerConfig::shards_per_app`] single-consumer shard
+//! threads — the paper's Qworkers. Producers call
+//! [`WorkloadManager::submit`] / [`WorkloadManager::submit_batch`]; each
+//! query is hash-routed to one shard by its tenant key (see
+//! [`routing_key`]), so all of a tenant's queries land on the same FIFO
+//! queue and their relative order is preserved end to end. Shard queues
+//! are **bounded**
 //! ([`WorkloadManagerConfig::queue_depth`]) — a producer outrunning the
 //! workers blocks on `submit`, which is the backpressure story: memory
 //! stays flat under overload instead of queues growing without limit.
@@ -53,7 +54,7 @@ use crate::error::{QuercError, Result};
 use crate::histogram::{LatencyHistogram, LatencySnapshot};
 use crate::labeled::LabeledQuery;
 use crate::qos::{QosConfig, QosDrain, QosState, RejectReason, TenantPolicy};
-use crate::qworker::{Qworker, QworkerMode, TimedQuery};
+use crate::qworker::{Qworker, TimedQuery};
 use crate::registry::ModelRegistry;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
@@ -210,7 +211,8 @@ pub struct WorkloadManagerConfig {
     /// shard a query lands on; QoS admission control remains keyed by
     /// tenant either way.
     pub routing: RoutingPolicy,
-    /// Maximum queries a worker drains per chunk (embed_batch size).
+    /// Maximum queries a worker drains per chunk (embed_batch size);
+    /// `0` is read as 1.
     pub batch: usize,
     /// Capacity of each shard's bounded input queue. A full queue makes
     /// `submit`/`submit_batch` block until the shard catches up —
@@ -270,7 +272,7 @@ impl Default for WorkloadManagerConfig {
 
 /// Per-app throughput counters (live — readable while serving).
 #[derive(Debug, Default)]
-pub struct AppCounters {
+pub(crate) struct AppCounters {
     /// Queries offered to this app. Without QoS this counts queries
     /// accepted onto a shard queue; with QoS enabled it counts every
     /// offered query — admitted **and** rejected — so that after a
@@ -293,8 +295,7 @@ pub struct AppThroughput {
     pub app: String,
     /// Queries offered to this app so far. Without QoS: accepted onto
     /// the shard queues. With QoS enabled: admitted **and** rejected, so
-    /// a fully-drained app satisfies `submitted == processed + rejected`
-    /// (see [`AppCounters::submitted`]).
+    /// a fully-drained app satisfies `submitted == processed + rejected`.
     pub submitted: u64,
     /// Queries fully labeled so far.
     pub processed: u64,
@@ -356,7 +357,7 @@ pub(crate) struct AppEntry {
     /// One bounded sender per shard, indexed by [`shard_for`] of the
     /// configured routing-policy key.
     shards: Vec<Sender<TimedQuery>>,
-    workers: Vec<JoinHandle<usize>>,
+    workers: Vec<JoinHandle<()>>,
     lanes: AppLanes,
 }
 
@@ -524,19 +525,19 @@ impl WorkloadManager {
             // shard: FIFO consumption is what makes hash routing an
             // ordering guarantee rather than a load-balancing heuristic.
             let (in_tx, in_rx) = bounded(self.cfg.queue_depth.max(1));
-            let mut worker = Qworker::new(name.clone(), Vec::new(), QworkerMode::Inline)
-                .with_registry(Arc::clone(&self.registry), self.cfg.attach_labels.clone())
-                .with_app(Arc::clone(&fitted))
-                .with_batch(self.cfg.batch)
-                .with_counter(Arc::clone(&lanes.counters))
-                .with_histogram(Arc::clone(&lanes.latency));
-            if let Some(qos) = &self.qos {
-                worker = worker.with_qos(Arc::clone(qos));
-            }
-            let db = lanes.output.0.clone();
-            let tr = lanes.training.0.clone();
+            let worker = Qworker {
+                app: Arc::clone(&fitted),
+                registry: Arc::clone(&self.registry),
+                labels: self.cfg.attach_labels.clone(),
+                batch: self.cfg.batch.max(1),
+                counters: Arc::clone(&lanes.counters),
+                histogram: Arc::clone(&lanes.latency),
+                qos: self.qos.clone(),
+                output: lanes.output.0.clone(),
+                training: lanes.training.0.clone(),
+            };
             shards.push(in_tx);
-            workers.push(std::thread::spawn(move || worker.run_timed(in_rx, db, tr)));
+            workers.push(std::thread::spawn(move || worker.run(in_rx)));
         }
 
         self.apps.insert(
@@ -586,8 +587,8 @@ impl WorkloadManager {
         let enqueued_at = Instant::now();
         let mut enriched = [EnrichedQuery::new(query)];
         self.enrich(entry, &mut enriched);
-        let [q] = enriched;
-        self.send(entry, TimedQuery::at(q, enqueued_at), "manager.submit")
+        let [query] = enriched;
+        self.send(entry, TimedQuery { query, enqueued_at }, "manager.submit")
     }
 
     /// Enqueue a batch for `app`, each query hash-routed to its tenant's
@@ -622,12 +623,9 @@ impl WorkloadManager {
         let mut batch: Vec<EnrichedQuery> = queries.into_iter().map(EnrichedQuery::new).collect();
         self.enrich(entry, &mut batch);
         let mut n = 0usize;
-        for q in batch {
-            match self.send(
-                entry,
-                TimedQuery::at(q, enqueued_at),
-                "manager.submit_batch",
-            ) {
+        for query in batch {
+            let timed = TimedQuery { query, enqueued_at };
+            match self.send(entry, timed, "manager.submit_batch") {
                 Ok(()) => n += 1,
                 Err(QuercError::Rejected { .. }) => {}
                 Err(e) => return Err(e),
@@ -1595,5 +1593,72 @@ mod tests {
         let lq = &drained.outputs["resources"][0];
         assert_eq!(lq.get("predicted_user"), Some("acct/alice"));
         assert!(lq.get("resource_class").is_some());
+    }
+
+    #[test]
+    fn wrong_dimension_classifier_labels_an_error_and_the_shard_serves_on() {
+        use crate::classifier::{QueryClassifier, TrainedLabeler};
+        use querc_learn::{ForestConfig, RandomForest};
+
+        // A labeler trained on 32-dim vectors deployed under a 64-dim
+        // embedder: every prediction is a dimension mismatch.
+        let small = BagOfTokens::new(32, true);
+        let vectors: Vec<Vec<f32>> = (0..6)
+            .map(|i| small.embed_sql(&format!("select {i} from t")))
+            .collect();
+        let labeler = TrainedLabeler::train(
+            RandomForest::new(ForestConfig::extra_trees(2)),
+            &vectors,
+            &["a", "b", "a", "b", "a", "b"],
+            &mut querc_linalg::Pcg32::new(3),
+        );
+        let mut mgr = WorkloadManager::new(WorkloadManagerConfig {
+            shards_per_app: 1,
+            attach_labels: vec!["x".to_string()],
+            ..Default::default()
+        });
+        mgr.registry()
+            .deploy("x", QueryClassifier::new("x", embedder(), labeler));
+        mgr.register(ResourcesApp::new(embedder()), &corpus())
+            .unwrap();
+        for i in 0..2 {
+            let sql = format!("select v from kv_store where k = {i}");
+            mgr.submit("resources", LabeledQuery::new(sql)).unwrap();
+        }
+        let drained = mgr.drain();
+        let outputs = &drained.outputs["resources"];
+        assert_eq!(outputs.len(), 2);
+        for lq in outputs {
+            let error = lq.get("classifier_error").expect("error label");
+            assert!(error.starts_with("x: "), "{error}");
+            assert_eq!(lq.get("predicted_x"), None);
+            assert!(lq.get("resource_class").is_some());
+        }
+        assert_eq!(drained.throughput[0].processed, 2);
+    }
+
+    #[test]
+    fn batch_zero_still_serves_every_query() {
+        let mut mgr = WorkloadManager::new(WorkloadManagerConfig {
+            batch: 0,
+            ..Default::default()
+        });
+        mgr.register(ResourcesApp::new(embedder()), &corpus())
+            .unwrap();
+        let accepted = mgr
+            .submit_batch(
+                "resources",
+                (0..9).map(|i| LabeledQuery::new(format!("select v from kv_store where k = {i}"))),
+            )
+            .unwrap();
+        assert_eq!(accepted, 9);
+        let drained = mgr.drain();
+        assert_eq!(drained.outputs["resources"].len(), 9);
+        for lq in &drained.outputs["resources"] {
+            assert!(lq.get("resource_class").is_some());
+        }
+        let tp = &drained.throughput[0];
+        assert_eq!(tp.processed, 9);
+        assert_eq!(tp.latency.count, tp.processed);
     }
 }

@@ -1,8 +1,9 @@
 //! The central training module — "Training, Evaluation & Offline
 //! Labeling" in the paper's Fig 1.
 //!
-//! Collects labeled queries from Qworkers (and from exported database
-//! logs), trains embedders on the pooled corpus, trains labelers on
+//! Collects labeled queries from the manager's training mirror
+//! ([`crate::service::ServiceDrain::training_log`]) and from exported
+//! database logs, trains embedders on the pooled corpus, trains labelers on
 //! labeled subsets, and deploys (embedder, labeler) pairs through the
 //! [`crate::registry::ModelRegistry`]. Training is an explicit batch
 //! call, matching the paper's design choice that Querc is *not* a
@@ -13,7 +14,6 @@ use crate::classifier::{QueryClassifier, TrainedLabeler};
 use crate::error::{QuercError, Result};
 use crate::labeled::LabeledQuery;
 use crate::registry::ModelRegistry;
-use crossbeam::channel::Receiver;
 use querc_embed::{BagOfTokens, Doc2Vec, Doc2VecConfig, Embedder, LstmAutoencoder, LstmConfig};
 use querc_learn::{ForestConfig, RandomForest};
 use querc_linalg::Pcg32;
@@ -67,16 +67,6 @@ impl TrainingModule {
     /// Record one labeled query.
     pub fn ingest(&mut self, lq: LabeledQuery) {
         self.log.push(lq);
-    }
-
-    /// Drain a (closed or closing) worker channel into the log.
-    pub fn ingest_stream(&mut self, rx: &Receiver<LabeledQuery>) -> usize {
-        let mut n = 0;
-        while let Ok(lq) = rx.try_recv() {
-            self.log.push(lq);
-            n += 1;
-        }
-        n
     }
 
     /// Bulk-load database log exports.
@@ -272,16 +262,5 @@ mod tests {
         }];
         tm.ingest_records(&records);
         assert_eq!(tm.log()[0].get("account"), Some("a"));
-    }
-
-    #[test]
-    fn ingest_stream_drains_channel() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for lq in demo_log() {
-            tx.send(lq).unwrap();
-        }
-        drop(tx);
-        let mut tm = TrainingModule::new(TrainingConfig::default());
-        assert_eq!(tm.ingest_stream(&rx), 40);
     }
 }

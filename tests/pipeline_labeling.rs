@@ -1,13 +1,15 @@
 //! Integration: the §5.2 labeling pipeline across crates.
 //!
 //! SnowCloud generation → embedding → classifier training → audits,
-//! plus the streaming path: Qworker labeling into the training module and
-//! a deploy/serve round-trip through the registry.
+//! plus the streaming path: a manager's training mirror into the training
+//! module and a deploy/serve round-trip through a second manager's
+//! registry.
 
-use crossbeam::channel::unbounded;
 use querc::apps::audit::{per_account_accuracy, SecurityAuditor};
+use querc::apps::{ResourcesApp, TrainCorpus};
 use querc::{
-    EmbedderKind, LabeledQuery, ModelRegistry, Qworker, QworkerMode, TrainingConfig, TrainingModule,
+    EmbedderKind, FittedApp, LabeledQuery, TrainingConfig, TrainingModule, WorkloadManager,
+    WorkloadManagerConfig,
 };
 use querc_embed::{LstmAutoencoder, LstmConfig, VocabConfig};
 use querc_linalg::Pcg32;
@@ -85,13 +87,17 @@ fn account_labeling_is_strong_and_repetitive_users_are_hard() {
 
 #[test]
 fn stream_label_train_deploy_roundtrip() {
-    // Queries stream through a Qworker into the training module; a
-    // classifier is trained, deployed and then used by a fresh Qworker.
-    let (in_tx, in_rx) = unbounded();
-    let (db_tx, _db_keep) = unbounded();
-    let (tr_tx, tr_rx) = unbounded();
+    // Queries stream through one manager into the training module; a
+    // classifier is trained, deployed into a second manager's registry
+    // and attached to every query that manager serves.
+    let wl = SnowCloud::generate(&SnowCloudConfig::pretrain(2, 30, 7));
+    let corpus = TrainCorpus::from_records(wl.records, 7);
+    let app = ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(32, true)));
+    let fitted = Arc::new(FittedApp::fit(app, &corpus).unwrap());
 
-    for i in 0..40 {
+    let mut ingest = WorkloadManager::new(WorkloadManagerConfig::default());
+    ingest.register_fitted(Arc::clone(&fitted)).unwrap();
+    let stream = (0..40).map(|i| {
         let mut lq = if i % 2 == 0 {
             LabeledQuery::new(format!("select spend from marketing_roi where week = {i}"))
         } else {
@@ -101,27 +107,34 @@ fn stream_label_train_deploy_roundtrip() {
             "pipeline",
             if i % 2 == 0 { "reporting" } else { "telemetry" },
         );
-        in_tx.send(lq).unwrap();
-    }
-    drop(in_tx);
-
-    let ingest_worker = Qworker::new("app-A", vec![], QworkerMode::Forked);
-    let n = ingest_worker.run(in_rx, db_tx, tr_tx);
-    assert_eq!(n, 40);
+        lq
+    });
+    assert_eq!(ingest.submit_batch("resources", stream).unwrap(), 40);
+    let training_log = ingest.drain().training_log;
+    assert_eq!(training_log.len(), 40);
 
     let mut trainer = TrainingModule::new(TrainingConfig::default());
-    assert_eq!(trainer.ingest_stream(&tr_rx), 40);
+    for lq in training_log {
+        trainer.ingest(lq);
+    }
     let embedder = trainer.train_embedder(&EmbedderKind::BagOfTokens { dim: 64 });
-    let registry = ModelRegistry::new();
+    let mut serving = WorkloadManager::new(WorkloadManagerConfig {
+        attach_labels: vec!["pipeline".to_string()],
+        ..Default::default()
+    });
     trainer
-        .train_and_deploy(&registry, &embedder, "pipeline")
+        .train_and_deploy(serving.registry(), &embedder, "pipeline")
         .expect("label present");
-
-    let clf = registry.get("pipeline").expect("deployed");
-    let serving = Qworker::new("app-A", vec![clf], QworkerMode::Inline);
-    let labeled = serving.process(LabeledQuery::new(
-        "select spend from marketing_roi where week = 99",
-    ));
+    serving.register_fitted(fitted).unwrap();
+    serving
+        .submit(
+            "resources",
+            LabeledQuery::new("select spend from marketing_roi where week = 99"),
+        )
+        .unwrap();
+    let outputs = serving.drain().outputs;
+    let labeled = &outputs["resources"][0];
+    assert_eq!(labeled.get("application"), Some("resources"));
     assert_eq!(labeled.get("predicted_pipeline"), Some("reporting"));
 }
 
