@@ -357,9 +357,39 @@ mod tests {
     }
 
     #[test]
+    fn label_sql_and_label_vectors_batch_agree() {
+        let clf = train_demo_classifier();
+        let sql = "select col1 from sales_orders where x = 5";
+        let v = Arc::new(clf.embedder().embed(&querc_embed::sql_tokens(sql)));
+        assert_eq!(clf.label_vectors_batch(&[v]), [clf.label_sql(sql)]);
+    }
+
+    #[test]
+    fn label_vectors_batch_matches_single_path() {
+        // One batched call over a chunk labels each query as a one-query
+        // chunk would, and as label_sql does.
+        let clf = train_demo_classifier();
+        let sqls = [
+            "select col1 from sales_orders where x = 5",
+            "insert into app_logs values (9, 'event')",
+            "select col4 from sales_orders where x = 77",
+        ];
+        let vectors: Vec<Arc<Vec<f32>>> = sqls
+            .iter()
+            .map(|s| Arc::new(clf.embedder().embed_sql(s)))
+            .collect();
+        let batch = clf.label_vectors_batch(&vectors);
+        for ((sql, v), label) in sqls.iter().zip(&vectors).zip(&batch) {
+            let alone = clf.label_vectors_batch(std::slice::from_ref(v));
+            assert_eq!(alone.as_slice(), std::slice::from_ref(label));
+            assert_eq!(*label, clf.label_sql(sql));
+        }
+    }
+
+    #[test]
     fn label_vectors_batch_matches_token_path() {
-        // The batched, precomputed-vector path agrees query for query
-        // with label_sql, which tokenizes, embeds and predicts one query.
+        // Vectors from the embedder's batched path label exactly as the
+        // labeler does on each query's tokens embedded one at a time.
         let clf = train_demo_classifier();
         let sqls = [
             "select col1 from sales_orders where x = 5",
@@ -374,7 +404,10 @@ mod tests {
             .map(Arc::new)
             .collect();
         let batch = clf.label_vectors_batch(&vectors);
-        let single: Vec<String> = sqls.iter().map(|s| clf.label_sql(s)).collect();
+        let single: Vec<&str> = docs
+            .iter()
+            .map(|d| clf.labeler().predict(&clf.embedder().embed(d)))
+            .collect();
         assert_eq!(batch, single);
         assert_eq!(batch, ["team-a", "team-b", "team-a"]);
     }
