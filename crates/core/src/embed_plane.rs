@@ -508,6 +508,47 @@ mod tests {
     }
 
     #[test]
+    fn warm_hits_scan_once_and_build_no_tokens() {
+        let bow = BagOfTokens::new(16, true);
+        let ns = bow.cache_namespace();
+        let p = plane(64, 4);
+        let from = |sqls: &[&str]| -> Vec<EnrichedQuery> {
+            sqls.iter().map(|s| EnrichedQuery::from_sql(*s)).collect()
+        };
+        let mut cold = from(&[
+            "select v from kv where k = 1",
+            "insert into logs values (3)",
+        ]);
+        let before = querc_sql::lex_calls_this_thread();
+        assert_eq!(p.enrich_batch(&bow, &mut cold), (0, 2));
+        assert_eq!(
+            querc_sql::lex_calls_this_thread() - before,
+            4,
+            "a miss scans twice: fingerprint, then tokens for embed_batch"
+        );
+        assert!(cold.iter().all(EnrichedQuery::tokens_built));
+
+        let mut warm = from(&[
+            "SELECT V FROM KV WHERE K = 77",
+            "insert into logs values (9)",
+            "select v from kv where k = 5 -- again",
+        ]);
+        let before = querc_sql::lex_calls_this_thread();
+        assert_eq!(p.enrich_batch(&bow, &mut warm), (3, 0));
+        assert_eq!(
+            querc_sql::lex_calls_this_thread() - before,
+            3,
+            "a hit scans once"
+        );
+        for q in &warm {
+            assert!(!q.tokens_built(), "{:?}: a hit built tokens", q.sql());
+            let tokens = querc_embed::sql_tokens(q.sql());
+            assert_eq!(q.fingerprint(), querc_sql::fingerprint_tokens(&tokens));
+            assert_eq!(**q.vector_for(ns).unwrap(), bow.embed(&tokens));
+        }
+    }
+
+    #[test]
     fn enrich_batch_skips_already_enriched_queries() {
         let bow = BagOfTokens::new(8, false);
         let p = plane(8, 1);

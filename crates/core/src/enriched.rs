@@ -6,15 +6,22 @@
 //! app re-lexed the SQL and re-embedded the tokens. An
 //! [`EnrichedQuery`] carries the derived artifacts alongside the query:
 //!
-//! * the **normalized token stream**, lexed at most once
+//! * the **normalized token stream**, built at most once
 //!   ([`std::sync::OnceLock`]-memoized — the "tokenize once per query"
 //!   invariant is regression-tested against the lexer's call counter);
-//! * the **template fingerprint** (`querc_sql::fingerprint`), derived
-//!   from the memoized tokens so it costs no extra lex;
+//! * the **template fingerprint** (`querc_sql::fingerprint`): hashed
+//!   from the memoized tokens when they exist, otherwise by one
+//!   allocation-free streaming scan of the SQL that builds no tokens;
 //! * zero or more **embedding vectors**, each tagged with the
 //!   [`Embedder::cache_namespace`] that produced it, shared by `Arc` so
 //!   a vector computed once at manager ingress fans out to every app
 //!   shard for free.
+//!
+//! The ingress cost follows from that. An embed-plane **hit** needs
+//! only the fingerprint: the SQL is scanned once and no token is
+//! allocated. A **miss** scans twice — once to fingerprint, once to
+//! build the tokens `embed_batch` consumes — and every later consumer
+//! reads the memoized tokens.
 //!
 //! Components that only understand labels keep receiving
 //! [`LabeledQuery`] — [`EnrichedQuery::into_labeled`] unwraps at the
@@ -99,12 +106,22 @@ impl EnrichedQuery {
     }
 
     /// The template fingerprint (literals stripped, case folded) — the
-    /// embed plane's cache key. Derived from the memoized tokens, so a
-    /// query is still lexed at most once.
+    /// embed plane's cache key. Hashes the memoized tokens if they were
+    /// built; otherwise streams the SQL through the lexer once and
+    /// leaves the tokens unbuilt, so a cache hit never materializes
+    /// them. Both ways give the same value.
     pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| querc_sql::fingerprint_tokens(self.tokens()))
+        *self.fingerprint.get_or_init(|| match self.tokens.get() {
+            Some(tokens) => querc_sql::fingerprint_tokens(tokens),
+            None => querc_embed::sql_fingerprint(&self.query.sql),
+        })
+    }
+
+    /// Whether the token stream has been built (tests of the no-token
+    /// hit path).
+    #[cfg(test)]
+    pub(crate) fn tokens_built(&self) -> bool {
+        self.tokens.get().is_some()
     }
 
     /// The vector computed under `namespace`
@@ -217,6 +234,17 @@ mod tests {
             1,
             "tokens + fingerprint must share a single lex"
         );
+    }
+
+    #[test]
+    fn fingerprint_alone_builds_no_tokens() {
+        let q = EnrichedQuery::from_sql("SELECT \"Quoted\"\"Id\" FROM T WHERE y = 5 -- hi");
+        let before = querc_sql::lex_calls_this_thread();
+        let fp = q.fingerprint();
+        assert!(!q.tokens_built(), "fingerprint must not materialize tokens");
+        assert_eq!(querc_sql::lex_calls_this_thread() - before, 1, "one scan");
+        assert_eq!(fp, querc_sql::fingerprint_tokens(q.tokens()));
+        assert!(q.tokens_built());
     }
 
     #[test]

@@ -41,5 +41,14 @@ pub use vocab::{Vocab, VocabConfig};
 /// Tokenize + normalize SQL text the way every embedder in this crate
 /// expects. Uses the Generic dialect so any tenant's SQL is accepted.
 pub fn sql_tokens(sql: &str) -> Vec<String> {
-    querc_sql::normalize::normalize_sql(sql, querc_sql::Dialect::Generic)
+    querc_sql::normalize::normalize_sql(sql, SQL_DIALECT)
 }
+
+/// The template fingerprint of [`sql_tokens`]`(sql)`, computed in one
+/// allocation-free scan without building the tokens.
+pub fn sql_fingerprint(sql: &str) -> u64 {
+    querc_sql::template_fingerprint(sql, SQL_DIALECT)
+}
+
+/// The dialect [`sql_tokens`] and [`sql_fingerprint`] lex under.
+const SQL_DIALECT: querc_sql::Dialect = querc_sql::Dialect::Generic;

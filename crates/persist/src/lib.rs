@@ -30,8 +30,10 @@
 //! it.
 //!
 //! **Append semantics.** [`append_to`] validates the whole existing
-//! file, truncates the footer, writes new sections, and writes a fresh
-//! footer. Repeated section names are legal and ordered:
+//! file — streamed through one fixed read buffer by the same parser the
+//! reader runs, never read whole — truncates the footer, writes new
+//! sections, and writes a fresh footer. Repeated section names are
+//! legal and ordered:
 //! [`SnapshotReader::section`] returns the **last** occurrence (the
 //! newest full state wins) while [`SnapshotReader::sections`] returns
 //! every occurrence in file order (how incremental deltas replay).
@@ -44,7 +46,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, BufWriter, Seek as _, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Seek as _, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -164,9 +166,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// payload — so a payload swapped between two sections is detected even
 /// when the payloads' own CRCs are individually intact.
 fn section_crc(name: &str, payload: &[u8]) -> u32 {
-    let mut c = crc32_update(!0u32, name.as_bytes());
-    c = crc32_update(c, &[0]);
-    !crc32_update(c, payload)
+    !crc32_update(section_crc_seed(name), payload)
+}
+
+/// The running (pre-inverted) section CRC after the name and its NUL
+/// separator, ready for the payload bytes.
+fn section_crc_seed(name: &str) -> u32 {
+    crc32_update(crc32_update(!0u32, name.as_bytes()), &[0])
 }
 
 fn assert_section_name(name: &str) {
@@ -324,104 +330,22 @@ struct Section {
 pub struct SnapshotReader {
     bytes: Vec<u8>,
     sections: Vec<Section>,
-    /// Byte offset where the footer line starts — where [`append_to`]
-    /// resumes writing.
-    footer_offset: usize,
-    /// Running (pre-inverted) CRC over every header line: the footer
-    /// chain an append continues.
-    headers_crc: u32,
 }
 
 impl SnapshotReader {
-    /// Read and validate a snapshot file.
+    /// Read a snapshot file into one buffer, which the reader keeps and
+    /// hands out ranges of, and validate it.
     pub fn open(path: impl AsRef<Path>) -> Result<SnapshotReader> {
         SnapshotReader::from_bytes(fs::read(path.as_ref())?)
     }
 
     /// Validate a snapshot held in memory. A `Vec<u8>` is taken over as
-    /// the reader's buffer; a slice is copied once.
+    /// the reader's buffer; a slice is copied once. Validation reads the
+    /// buffer in place.
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<SnapshotReader> {
         let bytes = bytes.into();
-        let mut pos = 0usize;
-        let magic = read_line(&bytes, &mut pos).ok_or_else(|| corrupt("missing magic line"))?;
-        if magic != MAGIC.as_bytes() {
-            let got = String::from_utf8_lossy(&magic[..magic.len().min(24)]);
-            return Err(corrupt(match got.strip_prefix(MAGIC_PREFIX) {
-                Some(version) => format!(
-                    "unsupported snapshot version {version:?}: this build reads {MAGIC:?} only"
-                ),
-                None => format!("bad magic: expected {MAGIC:?}, got {got:?}"),
-            }));
-        }
-        let mut sections = Vec::new();
-        let mut headers_crc = !0u32;
-        loop {
-            let line_start = pos;
-            let line =
-                read_line(&bytes, &mut pos).ok_or_else(|| corrupt("truncated: missing footer"))?;
-            let line = std::str::from_utf8(line).map_err(|_| corrupt("non-utf8 header line"))?;
-            if let Some(rest) = line.strip_prefix("SECTION ") {
-                let mut parts = rest.split(' ');
-                let name = parts.next().filter(|n| !n.is_empty());
-                let len = parts.next().and_then(parse_count);
-                let crc = parts.next().and_then(parse_hex8);
-                let (Some(name), Some(len), Some(crc), None) = (name, len, crc, parts.next())
-                else {
-                    return Err(corrupt(format!("malformed section header: {line:?}")));
-                };
-                let end = pos.checked_add(len).filter(|&e| e < bytes.len());
-                let Some(end) = end else {
-                    return Err(corrupt(format!(
-                        "truncated: section {name:?} claims {len} bytes past end of file"
-                    )));
-                };
-                if bytes[end] != b'\n' {
-                    return Err(corrupt(format!(
-                        "section {name:?}: missing payload terminator"
-                    )));
-                }
-                if section_crc(name, &bytes[pos..end]) != crc {
-                    return Err(corrupt(format!("section {name:?}: CRC mismatch")));
-                }
-                // The header line as written, newline included.
-                headers_crc = crc32_update(headers_crc, &bytes[line_start..pos]);
-                sections.push(Section {
-                    name: name.to_string(),
-                    payload: pos..end,
-                });
-                pos = end + 1;
-            } else if let Some(rest) = line.strip_prefix("END ") {
-                let mut parts = rest.split(' ');
-                let count = parts.next().and_then(parse_count);
-                let crc = parts.next().and_then(parse_hex8);
-                let (Some(count), Some(crc), None) = (count, crc, parts.next()) else {
-                    return Err(corrupt(format!("malformed footer: {line:?}")));
-                };
-                if count != sections.len() {
-                    return Err(corrupt(format!(
-                        "footer claims {count} sections, found {}",
-                        sections.len()
-                    )));
-                }
-                if !headers_crc != crc {
-                    return Err(corrupt("footer CRC mismatch (headers tampered)"));
-                }
-                if pos != bytes.len() {
-                    return Err(corrupt("trailing bytes after footer"));
-                }
-                return Ok(SnapshotReader {
-                    bytes,
-                    sections,
-                    footer_offset: line_start,
-                    headers_crc,
-                });
-            } else {
-                return Err(corrupt(format!(
-                    "expected SECTION or END, got {:?}",
-                    &line[..line.len().min(32)]
-                )));
-            }
-        }
+        let sections = validate(bytes.as_slice())?.sections;
+        Ok(SnapshotReader { bytes, sections })
     }
 
     fn payload(&self, s: &Section) -> &[u8] {
@@ -464,33 +388,180 @@ impl SnapshotReader {
     }
 }
 
+/// What validating a snapshot establishes about it.
+struct Layout {
+    sections: Vec<Section>,
+    /// Byte offset where the footer line starts — where [`append_to`]
+    /// resumes writing.
+    footer_offset: usize,
+    /// Running (pre-inverted) CRC over every header line: the footer
+    /// chain an append continues.
+    headers_crc: u32,
+}
+
+/// Read buffer [`append_to`] validates the base file through.
+const APPEND_READ_BUF: usize = 64 * 1024;
+
+/// The one snapshot parser: checks the magic line, every section's
+/// header, payload terminator and CRC, the footer's count and header
+/// chain, and that nothing follows the footer. It streams — one header
+/// line is held at a time and each payload is CRC'd chunk by chunk as
+/// `src` yields it — so its memory is what `src` buffers: nothing extra
+/// for an in-memory slice, one fixed buffer for a file.
+fn validate(mut src: impl BufRead) -> Result<Layout> {
+    let mut pos = 0usize;
+    let mut line = Vec::new();
+    if !read_line(&mut src, &mut pos, &mut line)? {
+        return Err(corrupt("missing magic line"));
+    }
+    if line != MAGIC.as_bytes() {
+        let got = String::from_utf8_lossy(&line[..line.len().min(24)]);
+        return Err(corrupt(match got.strip_prefix(MAGIC_PREFIX) {
+            Some(version) => {
+                format!("unsupported snapshot version {version:?}: this build reads {MAGIC:?} only")
+            }
+            None => format!("bad magic: expected {MAGIC:?}, got {got:?}"),
+        }));
+    }
+    let mut sections = Vec::new();
+    let mut headers_crc = !0u32;
+    loop {
+        let line_start = pos;
+        if !read_line(&mut src, &mut pos, &mut line)? {
+            return Err(corrupt("truncated: missing footer"));
+        }
+        let text = std::str::from_utf8(&line).map_err(|_| corrupt("non-utf8 header line"))?;
+        if let Some(rest) = text.strip_prefix("SECTION ") {
+            let mut parts = rest.split(' ');
+            let name = parts.next().filter(|n| !n.is_empty());
+            let len = parts.next().and_then(parse_count);
+            let crc = parts.next().and_then(parse_hex8);
+            let (Some(name), Some(len), Some(crc), None) = (name, len, crc, parts.next()) else {
+                return Err(corrupt(format!("malformed section header: {text:?}")));
+            };
+            let seed = section_crc_seed(name);
+            let name = name.to_string();
+            // The header line as written, newline included.
+            headers_crc = crc32_update(crc32_update(headers_crc, &line), b"\n");
+            let payload_start = pos;
+            let digest = crc_span(&mut src, &mut pos, seed, len)?;
+            let terminator = next_byte(&mut src, &mut pos)?;
+            let (Some(digest), Some(terminator)) = (digest, terminator) else {
+                return Err(corrupt(format!(
+                    "truncated: section {name:?} claims {len} bytes past end of file"
+                )));
+            };
+            if terminator != b'\n' {
+                return Err(corrupt(format!(
+                    "section {name:?}: missing payload terminator"
+                )));
+            }
+            if !digest != crc {
+                return Err(corrupt(format!("section {name:?}: CRC mismatch")));
+            }
+            sections.push(Section {
+                name,
+                payload: payload_start..payload_start + len,
+            });
+        } else if let Some(rest) = text.strip_prefix("END ") {
+            let mut parts = rest.split(' ');
+            let count = parts.next().and_then(parse_count);
+            let crc = parts.next().and_then(parse_hex8);
+            let (Some(count), Some(crc), None) = (count, crc, parts.next()) else {
+                return Err(corrupt(format!("malformed footer: {text:?}")));
+            };
+            if count != sections.len() {
+                return Err(corrupt(format!(
+                    "footer claims {count} sections, found {}",
+                    sections.len()
+                )));
+            }
+            if !headers_crc != crc {
+                return Err(corrupt("footer CRC mismatch (headers tampered)"));
+            }
+            if !src.fill_buf()?.is_empty() {
+                return Err(corrupt("trailing bytes after footer"));
+            }
+            return Ok(Layout {
+                sections,
+                footer_offset: line_start,
+                headers_crc,
+            });
+        } else {
+            return Err(corrupt(format!(
+                "expected SECTION or END, got {:?}",
+                &text[..text.len().min(32)]
+            )));
+        }
+    }
+}
+
+/// Read one `\n`-terminated line into `line` (newline dropped),
+/// advancing `*pos` past it. `false` when the input ends first.
+fn read_line(src: &mut impl BufRead, pos: &mut usize, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    let n = src.read_until(b'\n', line)?;
+    *pos += n;
+    Ok(line.pop() == Some(b'\n'))
+}
+
+/// Fold the next `len` bytes of `src` into the running CRC `c`, in the
+/// chunks `src` hands out. `None` when the input ends first.
+fn crc_span(
+    src: &mut impl BufRead,
+    pos: &mut usize,
+    mut c: u32,
+    mut len: usize,
+) -> io::Result<Option<u32>> {
+    while len > 0 {
+        let chunk = src.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(None);
+        }
+        let n = chunk.len().min(len);
+        c = crc32_update(c, &chunk[..n]);
+        src.consume(n);
+        *pos += n;
+        len -= n;
+    }
+    Ok(Some(c))
+}
+
+/// The next byte of `src`, `None` at the end of input.
+fn next_byte(src: &mut impl BufRead, pos: &mut usize) -> io::Result<Option<u8>> {
+    let Some(&b) = src.fill_buf()?.first() else {
+        return Ok(None);
+    };
+    src.consume(1);
+    *pos += 1;
+    Ok(Some(b))
+}
+
 /// Append sections to an existing snapshot file **incrementally**: the
 /// existing file is fully validated, its footer is truncated, the new
 /// sections are appended, and a fresh footer covering old + new headers
 /// is written. Existing payload bytes are never rewritten.
+///
+/// Validation streams the base through one fixed 64 KiB read buffer
+/// (the same parser [`SnapshotReader`] runs, with every CRC, the footer
+/// chain and the trailing-bytes rule), so an append never holds the
+/// base in memory. A base that fails validation is left untouched.
 pub fn append_to(path: impl AsRef<Path>, sections: &[(String, Vec<u8>)]) -> Result<()> {
     let path = path.as_ref();
-    let reader = SnapshotReader::open(path)?;
+    let base = validate(BufReader::with_capacity(
+        APPEND_READ_BUF,
+        fs::File::open(path)?,
+    ))?;
     sections
         .iter()
         .for_each(|(name, _)| assert_section_name(name));
     let mut f = fs::OpenOptions::new().write(true).open(path)?;
-    f.set_len(reader.footer_offset as u64)?;
+    f.set_len(base.footer_offset as u64)?;
     f.seek(io::SeekFrom::End(0))?;
     let mut w = BufWriter::new(f);
-    write_sections(&mut w, sections, reader.headers_crc, reader.len())?;
+    write_sections(&mut w, sections, base.headers_crc, base.sections.len())?;
     w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     Ok(())
-}
-
-/// Read one `\n`-terminated line starting at `*pos`; advances past the
-/// newline. `None` when no newline remains.
-fn read_line<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let rest = bytes.get(*pos..)?;
-    let nl = rest.iter().position(|&b| b == b'\n')?;
-    let line = &rest[..nl];
-    *pos += nl + 1;
-    Some(line)
 }
 
 #[cfg(test)]
@@ -717,6 +788,46 @@ mod tests {
             left,
             ["stack.bak", "stack.snap"],
             "no temporary left behind"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_to_a_bad_base_is_corrupt_and_leaves_it_untouched() {
+        let dir =
+            std::env::temp_dir().join(format!("querc-persist-bad-base-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.snap");
+        let mut s = Snapshot::new();
+        s.add_section("a", b"hello world".to_vec());
+        s.add_section("b", b"payload\nwith newline".to_vec());
+        let good = to_bytes(&s);
+        let delta = [("delta".to_string(), b"new".to_vec())];
+        let expect_corrupt = |bad: &[u8], what: &str| {
+            std::fs::write(&path, bad).unwrap();
+            let outcome = append_to(&path, &delta);
+            assert!(
+                matches!(outcome, Err(PersistError::Corrupt { .. })),
+                "{what}: {outcome:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bad, "{what}: base modified");
+        };
+        for i in 0..good.len() {
+            for mask in [0x01u8, 0x40, 0xFF] {
+                let mut bad = good.clone();
+                bad[i] ^= mask;
+                expect_corrupt(&bad, &format!("byte {i} ^ {mask:#04x}"));
+            }
+        }
+        for cut in 0..good.len() {
+            expect_corrupt(&good[..cut], &format!("truncated to {cut}"));
+        }
+        // The untouched base still takes the append.
+        std::fs::write(&path, &good).unwrap();
+        append_to(&path, &delta).unwrap();
+        assert_eq!(
+            SnapshotReader::open(&path).unwrap().section_names(),
+            ["a", "b", "delta"]
         );
         std::fs::remove_dir_all(&dir).ok();
     }

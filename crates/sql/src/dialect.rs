@@ -207,10 +207,24 @@ pub const KEYWORDS: &[&str] = &[
     "WITH",
 ];
 
-/// Is `word` a keyword (any dialect)? Case-insensitive.
+/// Length in bytes of the longest entry of [`KEYWORDS`]
+/// (`STRAIGHT_JOIN`); a longer word is never a keyword.
+const MAX_KEYWORD_LEN: usize = 13;
+
+/// Is `word` a keyword (any dialect)? Case-insensitive. Allocates
+/// nothing: the word is uppercased into a stack buffer.
 pub fn is_keyword(word: &str) -> bool {
-    let upper = word.to_ascii_uppercase();
-    KEYWORDS.binary_search(&upper.as_str()).is_ok()
+    let bytes = word.as_bytes();
+    if bytes.len() > MAX_KEYWORD_LEN {
+        return false;
+    }
+    let mut buf = [0u8; MAX_KEYWORD_LEN];
+    let upper = &mut buf[..bytes.len()];
+    upper.copy_from_slice(bytes);
+    upper.make_ascii_uppercase();
+    KEYWORDS
+        .binary_search_by(|k| k.as_bytes().cmp(upper))
+        .is_ok()
 }
 
 #[cfg(test)]
@@ -231,6 +245,40 @@ mod tests {
         assert!(is_keyword("Select"));
         assert!(!is_keyword("lineitem"));
         assert!(!is_keyword(""));
+    }
+
+    #[test]
+    fn every_keyword_matches_in_any_case_and_long_words_never_do() {
+        let longest = KEYWORDS.iter().map(|k| k.len()).max().unwrap();
+        assert_eq!(longest, MAX_KEYWORD_LEN);
+        for k in KEYWORDS {
+            let lower = k.to_ascii_lowercase();
+            let mixed: String = k
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            for form in [k.to_string(), lower, mixed] {
+                assert!(is_keyword(&form), "{form:?} must be a keyword");
+            }
+        }
+        // A keyword prefixed to 14 bytes or more is an identifier.
+        for word in [
+            "straight_joinx",
+            "STRAIGHT_JOIN_",
+            "tablesampleXYZ",
+            "selectselectsel",
+        ] {
+            assert!(word.len() > MAX_KEYWORD_LEN);
+            assert!(!is_keyword(word), "{word:?} is longer than any keyword");
+        }
+        assert!(!is_keyword(&"a".repeat(64)));
     }
 
     #[test]

@@ -5,6 +5,20 @@
 //! byte sequence — malformed queries are exactly the ones error-prediction
 //! applications care about. Unterminated strings/comments lex to the end of
 //! input, and unclassifiable characters come out as [`TokenKind::Other`].
+//!
+//! There is one lexer body, `Spans`: an iterator of `(kind, text)`
+//! pairs whose text borrows from the source, so scanning allocates
+//! nothing. Every entry point is a consumer of it — [`tokenize`] and
+//! [`tokenize_with_comments`] copy each span into an owned [`Token`]
+//! (one allocation per token), [`crate::normalize::normalize_sql`] copies
+//! each span's normalized form, and
+//! [`crate::fingerprint::template_fingerprint`] hashes the normalized
+//! bytes where they lie and allocates nothing at all.
+//!
+//! Every span boundary is a `char` boundary of the source: a token ends
+//! after an ASCII byte, before an ASCII byte, or at the end of input,
+//! and an [`TokenKind::Other`] run swallows every non-ASCII byte that
+//! follows its first byte.
 
 use crate::dialect::{is_keyword, Dialect};
 use crate::token::{Token, TokenKind};
@@ -14,51 +28,64 @@ thread_local! {
     static LEX_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of `tokenize` / [`tokenize_with_comments`] invocations made by
-/// **this thread** since it started. A diagnostic counter for asserting
-/// single-parse invariants on hot paths (e.g. "a serving chunk lexes each
-/// query exactly once") — thread-local so concurrent tests don't see each
-/// other's lexing. Compare two readings; the absolute value is
-/// meaningless.
+/// Number of scans of the lexer body made by **this thread** since it
+/// started: one per [`tokenize`], [`tokenize_with_comments`],
+/// [`crate::normalize::normalize_sql`] or
+/// [`crate::fingerprint::template_fingerprint`] call. A diagnostic
+/// counter for asserting single-scan invariants on hot paths (e.g. "a
+/// serving chunk lexes each query exactly once") — thread-local so
+/// concurrent tests don't see each other's lexing. Compare two readings;
+/// the absolute value is meaningless.
 pub fn lex_calls_this_thread() -> u64 {
     LEX_CALLS.with(Cell::get)
 }
 
 /// Tokenize `sql` under `dialect`, dropping whitespace and comments.
 pub fn tokenize(sql: &str, dialect: Dialect) -> Vec<Token> {
-    LEX_CALLS.with(|c| c.set(c.get() + 1));
-    Lexer::new(sql, dialect, false).run()
+    owned(Spans::new(sql, dialect, false))
 }
 
 /// Tokenize keeping comment tokens (for auditing / lineage applications).
 pub fn tokenize_with_comments(sql: &str, dialect: Dialect) -> Vec<Token> {
-    LEX_CALLS.with(|c| c.set(c.get() + 1));
-    Lexer::new(sql, dialect, true).run()
+    owned(Spans::new(sql, dialect, true))
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
+fn owned(spans: Spans<'_>) -> Vec<Token> {
+    spans.map(|(kind, text)| Token::new(kind, text)).collect()
+}
+
+/// The lexer body: yields each token's kind and its exact source text,
+/// borrowed from the input. Whitespace is skipped, and comments are too
+/// unless the scan keeps them.
+pub(crate) struct Spans<'a> {
+    sql: &'a str,
     pos: usize,
     dialect: Dialect,
     keep_comments: bool,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str, dialect: Dialect, keep_comments: bool) -> Self {
-        Lexer {
-            src: src.as_bytes(),
+impl<'a> Spans<'a> {
+    /// Start one scan of `sql` (counted by [`lex_calls_this_thread`]).
+    pub(crate) fn new(sql: &'a str, dialect: Dialect, keep_comments: bool) -> Self {
+        LEX_CALLS.with(|c| c.set(c.get() + 1));
+        Spans {
+            sql,
             pos: 0,
             dialect,
             keep_comments,
         }
     }
 
+    fn src(&self) -> &'a [u8] {
+        self.sql.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -67,118 +94,81 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn text(&self, start: usize) -> String {
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
-    }
-
-    fn run(mut self) -> Vec<Token> {
-        let mut out = Vec::new();
-        while let Some(c) = self.peek() {
-            let start = self.pos;
-            match c {
-                b' ' | b'\t' | b'\r' | b'\n' | 0x0b | 0x0c => {
-                    self.pos += 1;
-                }
-                b'-' if self.peek2() == Some(b'-') => {
-                    self.line_comment(start, &mut out);
-                }
-                b'#' if self.dialect.hash_comments() => {
-                    self.line_comment(start, &mut out);
-                }
-                b'/' if self.peek2() == Some(b'*') => {
-                    self.block_comment(start, &mut out);
-                }
-                b'\'' => {
-                    self.string_lit(start, &mut out);
-                }
-                b'"' => {
-                    self.quoted_ident(start, b'"', b'"', &mut out);
-                }
-                b'`' if self.dialect.backtick_idents() => {
-                    self.quoted_ident(start, b'`', b'`', &mut out);
-                }
-                b'[' if self.dialect.bracket_idents() => {
-                    self.quoted_ident(start, b'[', b']', &mut out);
-                }
-                b'0'..=b'9' => {
-                    self.number(start, &mut out);
-                }
-                b'.' if matches!(self.peek2(), Some(b'0'..=b'9')) => {
-                    self.number(start, &mut out);
-                }
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    self.word(start, &mut out);
-                }
-                b'?' => {
-                    self.pos += 1;
-                    out.push(Token::new(TokenKind::Param, "?"));
-                }
-                b':' if matches!(self.peek2(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) => {
-                    self.pos += 1;
-                    self.consume_word_chars();
-                    out.push(Token::new(TokenKind::Param, self.text(start)));
-                }
-                b'$' if self.dialect.dollar_params()
-                    && matches!(
-                        self.peek2(),
-                        Some(b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'_')
-                    ) =>
-                {
-                    self.pos += 1;
-                    self.consume_word_chars();
-                    out.push(Token::new(TokenKind::Param, self.text(start)));
-                }
-                b'@' if self.dialect.at_params()
-                    && matches!(self.peek2(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) =>
-                {
-                    self.pos += 1;
-                    self.consume_word_chars();
-                    out.push(Token::new(TokenKind::Param, self.text(start)));
-                }
-                b'%' if self.peek2() == Some(b's') => {
-                    // printf-style placeholder common in logged Python SQL.
-                    self.pos += 2;
-                    out.push(Token::new(TokenKind::Param, "%s"));
-                }
-                b'(' | b')' | b',' | b';' | b'.' => {
-                    self.pos += 1;
-                    out.push(Token::new(TokenKind::Punct, self.text(start)));
-                }
-                _ => {
-                    self.operator_or_other(start, &mut out);
-                }
+    /// Classify the token starting at the current byte `c` and advance
+    /// past it; `None` for whitespace.
+    fn scan(&mut self, c: u8) -> Option<TokenKind> {
+        let kind = match c {
+            b' ' | b'\t' | b'\r' | b'\n' | 0x0b | 0x0c => {
+                self.pos += 1;
+                return None;
             }
-        }
-        out
+            b'-' if self.peek2() == Some(b'-') => self.line_comment(),
+            b'#' if self.dialect.hash_comments() => self.line_comment(),
+            b'/' if self.peek2() == Some(b'*') => self.block_comment(),
+            b'\'' => self.string_lit(),
+            b'"' => self.quoted_ident(b'"', b'"'),
+            b'`' if self.dialect.backtick_idents() => self.quoted_ident(b'`', b'`'),
+            b'[' if self.dialect.bracket_idents() => self.quoted_ident(b'[', b']'),
+            b'0'..=b'9' => self.number(),
+            b'.' if matches!(self.peek2(), Some(b'0'..=b'9')) => self.number(),
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.word(),
+            b'?' => {
+                self.pos += 1;
+                TokenKind::Param
+            }
+            b':' if matches!(self.peek2(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) => {
+                self.param_word()
+            }
+            b'$' if self.dialect.dollar_params()
+                && matches!(
+                    self.peek2(),
+                    Some(b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'_')
+                ) =>
+            {
+                self.param_word()
+            }
+            b'@' if self.dialect.at_params()
+                && matches!(self.peek2(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) =>
+            {
+                self.param_word()
+            }
+            b'%' if self.peek2() == Some(b's') => {
+                // printf-style placeholder common in logged Python SQL.
+                self.pos += 2;
+                TokenKind::Param
+            }
+            b'(' | b')' | b',' | b';' | b'.' => {
+                self.pos += 1;
+                TokenKind::Punct
+            }
+            _ => self.operator_or_other(),
+        };
+        Some(kind)
     }
 
-    fn line_comment(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn line_comment(&mut self) -> TokenKind {
         while let Some(c) = self.peek() {
             if c == b'\n' {
                 break;
             }
             self.pos += 1;
         }
-        if self.keep_comments {
-            out.push(Token::new(TokenKind::Comment, self.text(start)));
-        }
+        TokenKind::Comment
     }
 
-    fn block_comment(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn block_comment(&mut self) -> TokenKind {
         self.pos += 2; // consume /*
-        while self.pos < self.src.len() {
+        while self.pos < self.src().len() {
             if self.peek() == Some(b'*') && self.peek2() == Some(b'/') {
                 self.pos += 2;
                 break;
             }
             self.pos += 1;
         }
-        if self.keep_comments {
-            out.push(Token::new(TokenKind::Comment, self.text(start)));
-        }
+        TokenKind::Comment
     }
 
-    fn string_lit(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn string_lit(&mut self) -> TokenKind {
         self.pos += 1; // opening quote
         while let Some(c) = self.bump() {
             if c == b'\'' {
@@ -189,10 +179,10 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        out.push(Token::new(TokenKind::StringLit, self.text(start)));
+        TokenKind::StringLit
     }
 
-    fn quoted_ident(&mut self, start: usize, open: u8, close: u8, out: &mut Vec<Token>) {
+    fn quoted_ident(&mut self, open: u8, close: u8) -> TokenKind {
         self.pos += 1; // opening delimiter
         while let Some(c) = self.bump() {
             if c == close {
@@ -204,10 +194,10 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        out.push(Token::new(TokenKind::QuotedIdent, self.text(start)));
+        TokenKind::QuotedIdent
     }
 
-    fn number(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn number(&mut self) -> TokenKind {
         let mut seen_dot = false;
         let mut seen_exp = false;
         while let Some(c) = self.peek() {
@@ -222,7 +212,7 @@ impl<'a> Lexer<'a> {
                 b'e' | b'E' if !seen_exp => {
                     // Only an exponent if followed by digits or sign+digits.
                     let next = self.peek2();
-                    let after_sign = self.src.get(self.pos + 2).copied();
+                    let after_sign = self.src().get(self.pos + 2).copied();
                     let ok = matches!(next, Some(b'0'..=b'9'))
                         || (matches!(next, Some(b'+') | Some(b'-'))
                             && matches!(after_sign, Some(b'0'..=b'9')));
@@ -235,7 +225,7 @@ impl<'a> Lexer<'a> {
                 _ => break,
             }
         }
-        out.push(Token::new(TokenKind::Number, self.text(start)));
+        TokenKind::Number
     }
 
     fn consume_word_chars(&mut self) {
@@ -248,37 +238,38 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn word(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn word(&mut self) -> TokenKind {
+        let start = self.pos;
         self.consume_word_chars();
-        let text = self.text(start);
-        let kind = if is_keyword(&text) {
+        if is_keyword(&self.sql[start..self.pos]) {
             TokenKind::Keyword
         } else {
             TokenKind::Ident
-        };
-        out.push(Token::new(kind, text));
+        }
     }
 
-    fn operator_or_other(&mut self, start: usize, out: &mut Vec<Token>) {
+    /// `:name`, `$1` / `$name` and `@name`: the marker byte, then a word.
+    fn param_word(&mut self) -> TokenKind {
+        self.pos += 1;
+        self.consume_word_chars();
+        TokenKind::Param
+    }
+
+    fn operator_or_other(&mut self) -> TokenKind {
         const TWO: &[&[u8]] = &[
             b"<=", b">=", b"<>", b"!=", b"||", b"::", b"->", b"=>", b"**",
         ];
-        let rest = &self.src[self.pos..];
-        for op in TWO {
-            if rest.starts_with(op) {
-                self.pos += 2;
-                out.push(Token::new(TokenKind::Operator, self.text(start)));
-                return;
-            }
+        let rest = &self.src()[self.pos..];
+        if TWO.iter().any(|op| rest.starts_with(op)) {
+            self.pos += 2;
+            return TokenKind::Operator;
         }
         match self.bump() {
             Some(
                 b'=' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^' | b'~'
                 | b'!',
-            ) => {
-                out.push(Token::new(TokenKind::Operator, self.text(start)));
-            }
-            Some(_) => {
+            ) => TokenKind::Operator,
+            _ => {
                 // Swallow a maximal run of unclassifiable bytes (e.g. a
                 // multi-byte UTF-8 character) into one Other token.
                 while let Some(c) = self.peek() {
@@ -288,10 +279,25 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                out.push(Token::new(TokenKind::Other, self.text(start)));
+                TokenKind::Other
             }
-            None => {}
         }
+    }
+}
+
+impl<'a> Iterator for Spans<'a> {
+    type Item = (TokenKind, &'a str);
+
+    fn next(&mut self) -> Option<(TokenKind, &'a str)> {
+        while let Some(c) = self.peek() {
+            let start = self.pos;
+            match self.scan(c) {
+                None => {}
+                Some(TokenKind::Comment) if !self.keep_comments => {}
+                Some(kind) => return Some((kind, &self.sql[start..self.pos])),
+            }
+        }
+        None
     }
 }
 

@@ -10,9 +10,15 @@
 //!   embedding reflects query *shape*, not parameter values;
 //! * bind parameters collapsed to `<param>`;
 //! * comments dropped, punctuation and operators kept as their own tokens.
+//!
+//! The rule is written once, as a view of one token's source text
+//! (`NormToken`). [`normalize_sql`] reads it straight off the lexer's
+//! borrowed spans and allocates once per token, for the output string;
+//! [`crate::fingerprint::template_fingerprint`] hashes the same view
+//! without allocating.
 
 use crate::dialect::Dialect;
-use crate::lexer::tokenize;
+use crate::lexer::Spans;
 use crate::token::{Token, TokenKind};
 
 /// Placeholder token for numeric literals.
@@ -21,28 +27,125 @@ pub const NUM: &str = "<num>";
 pub const STR: &str = "<str>";
 /// Placeholder token for bind parameters.
 pub const PARAM: &str = "<param>";
+/// Placeholder token for unclassifiable byte runs.
+const OTHER: &str = "<other>";
+
+/// One token's normalized form as a view of its source text: the bytes
+/// of `text`, a doubled `escape` byte read as one, ASCII letters
+/// lowercased when `fold` is set.
+#[derive(Clone, Copy)]
+pub(crate) struct NormToken<'a> {
+    text: &'a str,
+    fold: bool,
+    escape: Option<u8>,
+}
+
+impl<'a> NormToken<'a> {
+    /// The normalized form of a `kind` token whose source is `text`;
+    /// `None` for a comment, which normalization drops.
+    pub(crate) fn of(kind: TokenKind, text: &'a str) -> Option<NormToken<'a>> {
+        let plain = |text| NormToken {
+            text,
+            fold: false,
+            escape: None,
+        };
+        Some(match kind {
+            TokenKind::Keyword | TokenKind::Ident => NormToken {
+                fold: true,
+                ..plain(text)
+            },
+            TokenKind::QuotedIdent => NormToken {
+                fold: true,
+                ..NormToken::quoted_name(text)
+            },
+            TokenKind::Number => plain(NUM),
+            TokenKind::StringLit => plain(STR),
+            TokenKind::Param => plain(PARAM),
+            TokenKind::Operator | TokenKind::Punct => plain(text),
+            TokenKind::Comment => return None,
+            TokenKind::Other => plain(OTHER),
+        })
+    }
+
+    /// The name inside a quoted identifier, case preserved: the opening
+    /// quote stripped, the closing one too if it is there (the total
+    /// lexer emits unterminated quoted identifiers, which may end
+    /// mid-name), and `""` / ` `` ` read as one quote. `]` has no escape.
+    pub(crate) fn quoted_name(text: &'a str) -> NormToken<'a> {
+        let Some(open) = text.chars().next() else {
+            return NormToken {
+                text,
+                fold: false,
+                escape: None,
+            };
+        };
+        let close = if open == '[' { ']' } else { open };
+        let body = &text[open.len_utf8()..];
+        NormToken {
+            text: body.strip_suffix(close).unwrap_or(body),
+            fold: false,
+            escape: match open {
+                '"' => Some(b'"'),
+                '`' => Some(b'`'),
+                _ => None,
+            },
+        }
+    }
+
+    /// The normalized bytes.
+    pub(crate) fn bytes(self) -> impl Iterator<Item = u8> + 'a {
+        let src = self.text.as_bytes();
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            let &b = src.get(i)?;
+            i += 1;
+            if self.escape == Some(b) && src.get(i) == Some(&b) {
+                i += 1;
+            }
+            Some(if self.fold { b.to_ascii_lowercase() } else { b })
+        })
+    }
+
+    /// How many normalized bytes there are.
+    pub(crate) fn len(self) -> usize {
+        match self.escape {
+            None => self.text.len(),
+            Some(_) => self.bytes().count(),
+        }
+    }
+
+    /// The normalized form as an owned string: one allocation.
+    pub(crate) fn into_string(self) -> String {
+        match (self.escape, self.fold) {
+            (None, true) => self.text.to_ascii_lowercase(),
+            (None, false) => self.text.to_string(),
+            // Only ASCII bytes are dropped or case-folded, so the
+            // result is as valid UTF-8 as the source.
+            (Some(_), _) => String::from_utf8(self.bytes().collect())
+                .expect("ASCII-only edits keep UTF-8 valid"),
+        }
+    }
+}
 
 /// Normalize an already-lexed token stream into embedder tokens.
 pub fn normalize_tokens(tokens: &[Token]) -> Vec<String> {
     let mut out = Vec::with_capacity(tokens.len());
-    for t in tokens {
-        match t.kind {
-            TokenKind::Keyword | TokenKind::Ident => out.push(t.text.to_ascii_lowercase()),
-            TokenKind::QuotedIdent => out.push(t.ident_name().to_ascii_lowercase()),
-            TokenKind::Number => out.push(NUM.to_string()),
-            TokenKind::StringLit => out.push(STR.to_string()),
-            TokenKind::Param => out.push(PARAM.to_string()),
-            TokenKind::Operator | TokenKind::Punct => out.push(t.text.clone()),
-            TokenKind::Comment => {}
-            TokenKind::Other => out.push("<other>".to_string()),
-        }
-    }
+    out.extend(
+        tokens
+            .iter()
+            .filter_map(|t| NormToken::of(t.kind, &t.text))
+            .map(NormToken::into_string),
+    );
     out
 }
 
-/// Lex and normalize in one step.
+/// Lex and normalize in one scan, without building [`Token`]s: equal to
+/// `normalize_tokens(&tokenize(sql, dialect))`.
 pub fn normalize_sql(sql: &str, dialect: Dialect) -> Vec<String> {
-    normalize_tokens(&tokenize(sql, dialect))
+    Spans::new(sql, dialect, false)
+        .filter_map(|(kind, text)| NormToken::of(kind, text))
+        .map(NormToken::into_string)
+        .collect()
 }
 
 /// Canonical single-line text form of a normalized query (tokens joined by

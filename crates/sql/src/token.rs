@@ -1,5 +1,7 @@
 //! Token model shared by the lexer, normalizer and parser.
 
+use crate::normalize::NormToken;
+
 /// Lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
@@ -59,25 +61,7 @@ impl Token {
     pub fn ident_name(&self) -> String {
         match self.kind {
             TokenKind::Ident => self.text.to_ascii_lowercase(),
-            TokenKind::QuotedIdent => {
-                // Strip the opening quote, then the closing quote only if
-                // it is actually there — an unterminated quoted identifier
-                // (which the total lexer happily emits) may end mid-name,
-                // possibly on a multi-byte character, and byte-slicing it
-                // would panic.
-                let t = self.text.as_str();
-                let Some(open) = t.chars().next() else {
-                    return String::new();
-                };
-                let close = if open == '[' { ']' } else { open };
-                let body = &t[open.len_utf8()..];
-                let inner = body.strip_suffix(close).unwrap_or(body);
-                match open {
-                    '"' => inner.replace("\"\"", "\""),
-                    '`' => inner.replace("``", "`"),
-                    _ => inner.to_string(),
-                }
-            }
+            TokenKind::QuotedIdent => NormToken::quoted_name(&self.text).into_string(),
             _ => self.text.clone(),
         }
     }

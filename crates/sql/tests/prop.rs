@@ -2,9 +2,76 @@
 
 use proptest::prelude::*;
 use querc_sql::{
-    fingerprint_tokens, normalize::normalize_sql, normalize::normalized_text, parse_query,
-    template_fingerprint, tokenize, Dialect,
+    fingerprint_tokens, normalize::normalize_sql, normalize::normalized_text, normalize_tokens,
+    parse_query, template_fingerprint, tokenize, Dialect,
 };
+
+/// Fragments that stress the span lexer's edges: every quoting style
+/// (with doubled-quote escapes), every comment style, every bind marker,
+/// unterminated literals, keywords in mixed case and at the length
+/// limit, and non-ASCII bytes next to delimiters.
+const EDGES: &[&str] = &[
+    "\"a\"\"b\"",
+    "\"Mixed Case\"",
+    "`x`",
+    "`a``b`",
+    "``",
+    "[y]",
+    "[a]]b]",
+    "[dbo].[T]",
+    "-- note\n",
+    "/* block */",
+    "/* open",
+    "# hash\n",
+    "?",
+    ":name",
+    "$1",
+    "$v",
+    "@p",
+    "%s",
+    "'open",
+    "\"open",
+    "`open",
+    "[open",
+    "\"é",
+    "'it''s'",
+    "é",
+    "漢字",
+    "🙂",
+    "\u{feff}",
+    "ü\"",
+    "SELECT",
+    "sElEcT",
+    "Straight_Join",
+    "STRAIGHT_JOINS",
+    "from",
+    "t.a",
+    "1.5e-3",
+    ".5",
+    "1.e",
+    "<=",
+    "::",
+    "!=",
+    "(",
+    ",",
+    " ",
+    "\n",
+];
+
+/// SQL-ish text built from [`EDGES`], words and arbitrary characters.
+fn edge_soup() -> impl Strategy<Value = String> {
+    let piece = (0usize..EDGES.len() + 2, "[a-zA-Z_]{1,15}", ".{0,3}");
+    prop::collection::vec(piece, 0..32).prop_map(|pieces| {
+        pieces
+            .into_iter()
+            .map(|(pick, word, chars)| match pick {
+                i if i < EDGES.len() => EDGES[i].to_string(),
+                i if i == EDGES.len() => word,
+                _ => chars,
+            })
+            .collect::<String>()
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -125,13 +192,40 @@ proptest! {
         }
     }
 
-    /// The SQL-level and token-level entry points agree, so callers
-    /// holding memoized normalized tokens can skip the re-lex safely.
+    /// The SQL-level and token-level entry points agree, in every
+    /// dialect, so callers holding memoized normalized tokens can skip
+    /// the re-lex safely, and the streaming paths match the owned ones.
     #[test]
     fn fingerprint_token_entry_point_agrees(s in ".{0,160}") {
-        prop_assert_eq!(
-            template_fingerprint(&s, Dialect::Generic),
-            fingerprint_tokens(&normalize_sql(&s, Dialect::Generic))
-        );
+        for d in Dialect::all() {
+            let normalized = normalize_sql(&s, d);
+            prop_assert_eq!(&normalized, &normalize_tokens(&tokenize(&s, d)));
+            prop_assert_eq!(template_fingerprint(&s, d), fingerprint_tokens(&normalized));
+        }
+    }
+
+    /// The streaming fingerprint equals the hash of the materialized
+    /// normalized tokens, in every dialect, on inputs biased to the
+    /// lexer's edges.
+    #[test]
+    fn fingerprint_streams_bit_identically_in_every_dialect(s in edge_soup()) {
+        for d in Dialect::all() {
+            prop_assert!(
+                template_fingerprint(&s, d) == fingerprint_tokens(&normalize_sql(&s, d)),
+                "fingerprints differ on {:?} under {:?}", s, d
+            );
+        }
+    }
+
+    /// Normalizing straight off the spans equals normalizing the owned
+    /// tokens, in every dialect.
+    #[test]
+    fn normalize_spans_match_normalize_tokens_in_every_dialect(s in edge_soup()) {
+        for d in Dialect::all() {
+            prop_assert!(
+                normalize_sql(&s, d) == normalize_tokens(&tokenize(&s, d)),
+                "normalized streams differ on {:?} under {:?}", s, d
+            );
+        }
     }
 }
