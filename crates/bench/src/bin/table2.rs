@@ -11,7 +11,8 @@
 //! table layout), and checks the shape: repetitive accounts at the top
 //! with low accuracy, the long tail of normal accounts high.
 
-use querc::apps::audit::{per_account_accuracy, SecurityAuditor};
+use querc::apps::audit::{per_account_accuracy, AccountAccuracy};
+use querc::apps::{AuditApp, TrainCorpus, WorkloadApp};
 use querc_bench::harness;
 use querc_linalg::Pcg32;
 use querc_workloads::record::split_holdout;
@@ -41,8 +42,13 @@ fn main() {
     );
 
     eprintln!("training user classifier…");
-    let auditor = SecurityAuditor::train(&train, Arc::clone(&lstm), 40, harness::SEED ^ 0x7ab3);
-    let rows = per_account_accuracy(&auditor, &test);
+    // The audit app seeds its forest with `Pcg32::with_stream(seed ^
+    // 0xa0d1, 0xa0d1)`; this corpus seed keeps the stream at
+    // `SEED ^ 0x7ab3`, the one the table has always been printed with.
+    let corpus = TrainCorpus::from_records(train, harness::SEED ^ 0x7ab3 ^ 0xa0d1);
+    let app = AuditApp::new(Arc::clone(&lstm));
+    let model = app.fit(&corpus).expect("the train split is not empty");
+    let rows = per_account_accuracy(&app, &model, &test).expect("the model is the audit app's");
 
     println!(
         "\n{:>10} {:>9} {:>7} {:>9}",
@@ -88,7 +94,7 @@ fn main() {
         (0.45..0.85).contains(&(top2 as f64 / total as f64)),
         format!("{:.0}% of volume", 100.0 * top2 as f64 / total as f64),
     );
-    let normal: Vec<&querc::apps::audit::AccountAccuracy> = rows
+    let normal: Vec<&AccountAccuracy> = rows
         .iter()
         .filter(|r| !matches!(r.account.as_str(), "acct00" | "acct01" | "acct02"))
         .collect();

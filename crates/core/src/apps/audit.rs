@@ -1,31 +1,43 @@
 //! Security auditing by user/account prediction (paper §5.2).
 //!
-//! Train a classifier `V → user` from query syntax alone; at serving time
-//! a query whose *predicted* user differs from the *actual* submitting
-//! user is flagged for audit (a possibly compromised account). The same
-//! machinery with `account` labels powers Table 1's account-labeling task
-//! and misrouting detection.
+//! [`AuditApp`] learns `V → user` from query syntax alone; at
+//! serving time a query whose *predicted* user differs from the
+//! *actual* submitting user is flagged for audit (a possibly
+//! compromised account). [`per_account_accuracy`] reads the same
+//! labels back as the paper's Table 2.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
-use crate::classifier::TrainedLabeler;
+use super::label::{LabelApp, LabelModel, LabelSpec, Output};
+use super::WorkloadApp;
 use crate::enriched::EnrichedQuery;
 use crate::error::Result;
 use querc_embed::Embedder;
-use querc_learn::{ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
 use querc_workloads::QueryRecord;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-/// Verdict for one audited query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditVerdict {
-    /// The user the query was actually submitted as.
-    pub actual_user: String,
-    /// The user the model believes wrote it.
-    pub predicted_user: String,
-    /// True when prediction and reality disagree — flag for review.
-    pub flagged: bool,
+pub(super) const AUDIT: LabelSpec = LabelSpec {
+    name: "audit",
+    task: "predict the submitting user from syntax; flag out-of-character queries",
+    target: |r| r.user.as_str(),
+    classes: &[],
+    salt: 0xa0d1,
+    outputs: &[
+        Output::Disagrees("audit_flag", "user", 0.0),
+        Output::Class("predicted_user"),
+    ],
+};
+
+/// Auditing as a [`LabelApp`]: labels `predicted_user`, plus
+/// `audit_flag=true` when the query carries a `user` label that
+/// disagrees with the prediction (§5.2's compromised-account signal).
+pub struct AuditApp;
+
+impl AuditApp {
+    /// The auditing app over `embedder`.
+    #[allow(clippy::new_ret_no_self)] // every configuration is one type, `LabelApp`
+    pub fn new(embedder: Arc<dyn Embedder>) -> LabelApp {
+        LabelApp::new(&AUDIT, embedder)
+    }
 }
 
 /// Per-account labeling accuracy (Table 2's rows).
@@ -41,246 +53,50 @@ pub struct AccountAccuracy {
     pub accuracy: f64,
 }
 
-/// A trained security auditor.
-pub struct SecurityAuditor {
-    embedder: Arc<dyn Embedder>,
-    user_model: TrainedLabeler,
-    /// Number of records the user model was fitted on.
-    pub trained_queries: usize,
-}
-
-impl SecurityAuditor {
-    /// Train the user predictor from labeled log records.
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        n_trees: usize,
-        seed: u64,
-    ) -> SecurityAuditor {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let names: Vec<&str> = records.iter().map(|r| r.user.as_str()).collect();
-        let mut rng = Pcg32::with_stream(seed, 0xa0d1);
-        let user_model = TrainedLabeler::train(
-            RandomForest::new(ForestConfig::extra_trees(n_trees)),
-            &vectors,
-            &names,
-            &mut rng,
-        );
-        SecurityAuditor {
-            embedder,
-            user_model,
-            trained_queries: records.len(),
-        }
-    }
-
-    /// Audit one query submission.
-    pub fn audit(&self, sql: &str, actual_user: &str) -> AuditVerdict {
-        let v = self.embedder.embed_sql(sql);
-        let predicted = self.user_model.predict(&v).to_string();
-        AuditVerdict {
-            flagged: predicted != actual_user,
-            actual_user: actual_user.to_string(),
-            predicted_user: predicted,
-        }
-    }
-
-    /// Audit a batch; returns only flagged verdicts with their indices.
-    /// Embeds through the batched path.
-    pub fn audit_batch(&self, records: &[QueryRecord]) -> Vec<(usize, AuditVerdict)> {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        self.predict_users_batch(&docs)
-            .into_iter()
-            .zip(records)
-            .enumerate()
-            .filter_map(|(i, (predicted, r))| {
-                (predicted != r.user).then_some((
-                    i,
-                    AuditVerdict {
-                        flagged: true,
-                        actual_user: r.user.clone(),
-                        predicted_user: predicted,
-                    },
-                ))
-            })
-            .collect()
-    }
-
-    /// Predict the submitting user for a chunk of pre-tokenized queries
-    /// through the embedder's batched path — the serving hot loop.
-    pub fn predict_users_batch(&self, docs: &[Vec<String>]) -> Vec<String> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.user_model.predict(v).to_string())
-            .collect()
-    }
-
-    /// Distinct users seen at training time.
-    pub fn known_users(&self) -> usize {
-        self.user_model.labels().len()
-    }
-}
-
-/// [`SecurityAuditor`] behind the uniform [`WorkloadApp`] interface.
-///
-/// Labels attached per query: `predicted_user`, plus `audit_flag=true`
-/// when the query carries a `user` label that disagrees with the
-/// prediction (§5.2's compromised-account signal).
-pub struct AuditApp {
-    embedder: Arc<dyn Embedder>,
-    /// Trees in the user-prediction forest.
-    pub n_trees: usize,
-}
-
-impl AuditApp {
-    /// An auditing app over `embedder` with the default forest size.
-    pub fn new(embedder: Arc<dyn Embedder>) -> AuditApp {
-        AuditApp {
-            embedder,
-            n_trees: 40,
-        }
-    }
-
-    /// Override the number of trees in the user-prediction forest.
-    pub fn with_trees(mut self, n_trees: usize) -> AuditApp {
-        self.n_trees = n_trees;
-        self
-    }
-}
-
-impl WorkloadApp for AuditApp {
-    type Model = SecurityAuditor;
-
-    fn name(&self) -> &'static str {
-        "audit"
-    }
-
-    fn task(&self) -> &'static str {
-        "predict the submitting user from syntax; flag out-of-character queries"
-    }
-
-    fn fit(&self, corpus: &TrainCorpus) -> Result<SecurityAuditor> {
-        corpus.require_records("audit.fit")?;
-        Ok(SecurityAuditor::train(
-            &corpus.records,
-            Arc::clone(&self.embedder),
-            self.n_trees,
-            corpus.seed ^ 0xa0d1,
-        ))
-    }
-
-    fn label_batch(
-        &self,
-        model: &SecurityAuditor,
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>> {
-        // Ingress-enriched vectors are reused; anything else embeds in
-        // one batched call from the memoized token streams.
-        let vectors = EnrichedQuery::vectors(batch, model.embedder.as_ref());
-        Ok(batch
-            .iter()
-            .zip(vectors)
-            .map(|(q, v)| {
-                let user = model.user_model.predict(&v).to_string();
-                let mut out = AppOutput::new();
-                if let Some(actual) = q.get("user") {
-                    out.set("audit_flag", (actual != user).to_string());
-                }
-                out.set("predicted_user", user);
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn report(&self, model: &SecurityAuditor) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                ("embedder".to_string(), model.embedder.name().to_string()),
-                ("users".to_string(), model.known_users().to_string()),
-                ("trees".to_string(), self.n_trees.to_string()),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &SecurityAuditor) -> Option<String> {
-        crate::persist::to_json(&AuditState {
-            labeler: model.user_model.export_state()?,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<SecurityAuditor> {
-        let state: AuditState = crate::persist::from_json(json, "audit model")?;
-        let user_model = TrainedLabeler::from_state(state.labeler)?;
-        if user_model.dim() != self.embedder.dim() {
-            return Err(crate::persist::corrupt(format!(
-                "audit model trained at dim {} but embedder has dim {}",
-                user_model.dim(),
-                self.embedder.dim()
-            )));
-        }
-        Ok(SecurityAuditor {
-            embedder: Arc::clone(&self.embedder),
-            user_model,
-            trained_queries: state.trained_queries,
-        })
-    }
-}
-
-/// Serialized form of a [`SecurityAuditor`] — just the labeler; the
-/// embedder is app state and travels in the snapshot's app header.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct AuditState {
-    labeler: crate::classifier::LabelerState,
-    trained_queries: usize,
-}
-
 /// Per-account user-prediction accuracy over held-out records, sorted by
 /// query volume descending — exactly the layout of the paper's Table 2.
+/// Each record is labeled by `app` (an [`AuditApp`]) through its
+/// own `label_batch`, carrying its actual `user`; a hit is an
+/// `audit_flag` of `"false"`.
 pub fn per_account_accuracy(
-    auditor: &SecurityAuditor,
+    app: &LabelApp,
+    model: &LabelModel,
     records: &[QueryRecord],
-) -> Vec<AccountAccuracy> {
-    #[derive(Default)]
-    struct Acc {
-        hits: usize,
-        total: usize,
-        users: std::collections::HashSet<String>,
-    }
-    let mut by_account: BTreeMap<&str, Acc> = BTreeMap::new();
-    for r in records {
-        let verdict = auditor.audit(&r.sql, &r.user);
-        let acc = by_account.entry(r.account.as_str()).or_default();
-        acc.total += 1;
-        acc.users.insert(r.user.clone());
-        if !verdict.flagged {
-            acc.hits += 1;
-        }
+) -> Result<Vec<AccountAccuracy>> {
+    let batch: Vec<EnrichedQuery> = records
+        .iter()
+        .map(|r| {
+            let mut q = EnrichedQuery::from_sql(r.sql.clone());
+            q.set("user", r.user.clone());
+            q
+        })
+        .collect();
+    // (hits, queries, users) per account.
+    let mut by_account: BTreeMap<&str, (usize, usize, HashSet<&str>)> = BTreeMap::new();
+    for (r, out) in records.iter().zip(app.label_batch(model, &batch)?) {
+        let (hits, queries, users) = by_account.entry(r.account.as_str()).or_default();
+        *hits += usize::from(out.get("audit_flag") == Some("false"));
+        *queries += 1;
+        users.insert(r.user.as_str());
     }
     let mut rows: Vec<AccountAccuracy> = by_account
         .into_iter()
-        .map(|(account, acc)| AccountAccuracy {
+        .map(|(account, (hits, queries, users))| AccountAccuracy {
             account: account.to_string(),
-            queries: acc.total,
-            users: acc.users.len(),
-            accuracy: acc.hits as f64 / acc.total.max(1) as f64,
+            queries,
+            users: users.len(),
+            accuracy: hits as f64 / queries as f64,
         })
         .collect();
     rows.sort_by_key(|row| std::cmp::Reverse(row.queries));
-    rows
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::label::tests::{label, query};
+    use crate::apps::TrainCorpus;
     use querc_embed::BagOfTokens;
 
     fn records() -> Vec<QueryRecord> {
@@ -313,45 +129,59 @@ mod tests {
             .collect()
     }
 
-    fn auditor() -> SecurityAuditor {
-        SecurityAuditor::train(&records(), Arc::new(BagOfTokens::new(64, true)), 15, 7)
+    /// A 15-tree auditor fitted on `records` with the forest stream `seed`.
+    fn train(records: &[QueryRecord], seed: u64) -> (LabelApp, LabelModel) {
+        let app = AuditApp::new(Arc::new(BagOfTokens::new(64, true))).with_trees(15);
+        let corpus = TrainCorpus::from_records(records.to_vec(), seed ^ 0xa0d1);
+        let model = app.fit(&corpus).unwrap();
+        (app, model)
+    }
+
+    fn auditor() -> (LabelApp, LabelModel) {
+        train(&records(), 7)
     }
 
     #[test]
     fn normal_queries_pass_audit() {
-        let a = auditor();
-        let v = a.audit(
-            "select revenue from finance_reports where q = 99",
-            "acct/alice",
-        );
-        assert!(!v.flagged, "{v:?}");
+        let (app, model) = auditor();
+        let sql = "select revenue from finance_reports where q = 99";
+        let v = label(&app, &model, &[query(sql, &[("user", "acct/alice")])]);
+        assert_eq!(v[0].get("audit_flag"), Some("false"), "{v:?}");
     }
 
     #[test]
     fn out_of_character_query_is_flagged() {
-        let a = auditor();
+        let (app, model) = auditor();
         // Alice's account suddenly issues Bob-style ingest traffic.
-        let v = a.audit("insert into sensor_stream values (1, 2)", "acct/alice");
-        assert!(v.flagged);
-        assert_eq!(v.predicted_user, "acct/bob");
+        let sql = "insert into sensor_stream values (1, 2)";
+        let v = label(&app, &model, &[query(sql, &[("user", "acct/alice")])]);
+        assert_eq!(v[0].get("audit_flag"), Some("true"));
+        assert_eq!(v[0].get("predicted_user"), Some("acct/bob"));
     }
 
     #[test]
     fn audit_batch_returns_only_flags() {
-        let a = auditor();
+        let (app, model) = auditor();
         let mut recs = records();
         // Corrupt one record: bob's query under alice's name.
         recs[1].user = "acct/alice".into();
-        let flags = a.audit_batch(&recs);
-        assert!(flags.iter().any(|(i, _)| *i == 1));
+        let batch: Vec<EnrichedQuery> = recs
+            .iter()
+            .map(|r| query(&r.sql, &[("user", &r.user)]))
+            .collect();
+        let flags: Vec<usize> = (label(&app, &model, &batch).iter().enumerate())
+            .filter(|(_, o)| o.get("audit_flag") == Some("true"))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(flags.contains(&1));
         // Mostly unflagged.
         assert!(flags.len() < recs.len() / 4);
     }
 
     #[test]
     fn per_account_accuracy_shape() {
-        let a = auditor();
-        let rows = per_account_accuracy(&a, &records());
+        let (app, model) = auditor();
+        let rows = per_account_accuracy(&app, &model, &records()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].users, 2);
         assert_eq!(rows[0].queries, 40);
@@ -399,7 +229,10 @@ mod tests {
             app.label_batch(&model, &batch).unwrap(),
             app.label_batch(&restored, &batch).unwrap()
         );
-        assert_eq!(restored.known_users(), model.known_users());
+        assert_eq!(
+            restored.labeler().labels().len(),
+            model.labeler().labels().len()
+        );
         // A dim-mismatched embedder is rejected, not index-panicked on.
         let narrow = AuditApp::new(Arc::new(BagOfTokens::new(8, true)));
         assert!(matches!(
@@ -425,8 +258,8 @@ mod tests {
                 timestamp: i,
             })
             .collect();
-        let a = SecurityAuditor::train(&shared, Arc::new(BagOfTokens::new(64, true)), 15, 3);
-        let rows = per_account_accuracy(&a, &shared);
+        let (app, model) = train(&shared, 3);
+        let rows = per_account_accuracy(&app, &model, &shared).unwrap();
         assert!(
             rows[0].accuracy < 0.5,
             "verbatim-identical queries must be nearly unpredictable, got {}",

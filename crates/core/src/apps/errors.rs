@@ -5,224 +5,41 @@
 //! trivial to engineer". Predicted-risky queries can be routed to an
 //! instrumented or higher-memory runtime before they fail.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
-use crate::enriched::EnrichedQuery;
-use crate::error::Result;
+use super::label::{LabelApp, LabelSpec, Output};
 use querc_embed::Embedder;
-use querc_learn::{Classifier, ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
 use std::sync::Arc;
 
-/// Risk assessment for one query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErrorRisk {
-    /// Probability the query fails (forest vote share).
-    pub probability: f64,
-    /// True when above the predictor's threshold.
-    pub risky: bool,
-}
+pub(super) const ERRORS: LabelSpec = LabelSpec {
+    name: "errors",
+    task: "predict failure probability from query syntax",
+    target: |r| if r.is_error() { "true" } else { "false" },
+    classes: &["false", "true"],
+    salt: 0xe440,
+    outputs: &[
+        Output::Probability("error_probability", 1),
+        Output::AtLeast("error_risky", 1, 0.5),
+    ],
+};
 
-/// A trained error predictor (binary: fails / succeeds).
-pub struct ErrorPredictor {
-    embedder: Arc<dyn Embedder>,
-    model: RandomForest,
-    /// Queries with failure probability ≥ this are flagged.
-    pub threshold: f64,
-}
-
-impl ErrorPredictor {
-    /// Train from log records (the error label ships in the log itself —
-    /// "training data is readily available from the query logs").
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        threshold: f64,
-        seed: u64,
-    ) -> ErrorPredictor {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let labels: Vec<u32> = records.iter().map(|r| u32::from(r.is_error())).collect();
-        let mut model = RandomForest::new(ForestConfig::extra_trees(40));
-        let mut rng = Pcg32::with_stream(seed, 0xe440);
-        model.fit(&vectors, &labels, 2, &mut rng);
-        ErrorPredictor {
-            embedder,
-            model,
-            threshold,
-        }
-    }
-
-    /// Assess one query.
-    pub fn assess(&self, sql: &str) -> ErrorRisk {
-        self.assess_vector(&self.embedder.embed_sql(sql))
-    }
-
-    /// Assess a precomputed embedding vector — the single risk rule
-    /// shared by the SQL-level, batched, and serving paths.
-    pub fn assess_vector(&self, v: &[f32]) -> ErrorRisk {
-        let proba = self.model.predict_proba(v, 2);
-        let probability = proba.get(1).copied().unwrap_or(0.0) as f64;
-        ErrorRisk {
-            probability,
-            risky: probability >= self.threshold,
-        }
-    }
-
-    /// Fraction of held-out records classified correctly (diagnostic).
-    pub fn holdout_accuracy(&self, records: &[QueryRecord]) -> f64 {
-        if records.is_empty() {
-            return 0.0;
-        }
-        let hits = records
-            .iter()
-            .filter(|r| self.assess(&r.sql).risky == r.is_error())
-            .count();
-        hits as f64 / records.len() as f64
-    }
-
-    /// Assess a chunk of pre-tokenized queries through the embedder's
-    /// batched path.
-    pub fn assess_batch(&self, docs: &[Vec<String>]) -> Vec<ErrorRisk> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.assess_vector(v))
-            .collect()
-    }
-}
-
-/// [`ErrorPredictor`] behind the uniform [`WorkloadApp`] interface.
-///
-/// Labels attached per query: `error_probability` and `error_risky` —
-/// routable to an instrumented runtime before the query fails.
-pub struct ErrorsApp {
-    embedder: Arc<dyn Embedder>,
-    /// Queries with failure probability ≥ this are flagged.
-    pub threshold: f64,
-}
+/// Error prediction as a [`LabelApp`]: labels `error_probability` (the
+/// forest's vote share for failure) and `error_risky` (share ≥ 0.5).
+pub struct ErrorsApp;
 
 impl ErrorsApp {
-    /// An error-prediction app over `embedder` with the default 0.5
-    /// flagging threshold.
-    pub fn new(embedder: Arc<dyn Embedder>) -> ErrorsApp {
-        ErrorsApp {
-            embedder,
-            threshold: 0.5,
-        }
+    /// The error-prediction app over `embedder`.
+    #[allow(clippy::new_ret_no_self)] // every configuration is one type, `LabelApp`
+    pub fn new(embedder: Arc<dyn Embedder>) -> LabelApp {
+        LabelApp::new(&ERRORS, embedder)
     }
-
-    /// Override the failure-probability flagging threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> ErrorsApp {
-        self.threshold = threshold;
-        self
-    }
-}
-
-/// A fitted error model plus its training size.
-pub struct ErrorsModel {
-    /// The underlying trained predictor (bespoke entry point).
-    pub predictor: ErrorPredictor,
-    trained_queries: usize,
-}
-
-impl WorkloadApp for ErrorsApp {
-    type Model = ErrorsModel;
-
-    fn name(&self) -> &'static str {
-        "errors"
-    }
-
-    fn task(&self) -> &'static str {
-        "predict failure probability from query syntax"
-    }
-
-    fn fit(&self, corpus: &TrainCorpus) -> Result<ErrorsModel> {
-        corpus.require_records("errors.fit")?;
-        Ok(ErrorsModel {
-            predictor: ErrorPredictor::train(
-                &corpus.records,
-                Arc::clone(&self.embedder),
-                self.threshold,
-                corpus.seed ^ 0xe440,
-            ),
-            trained_queries: corpus.len(),
-        })
-    }
-
-    fn label_batch(&self, model: &ErrorsModel, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.predictor.embedder.as_ref());
-        Ok(vectors
-            .iter()
-            .map(|v| {
-                let risk = model.predictor.assess_vector(v);
-                let mut out = AppOutput::new();
-                out.set("error_probability", format!("{:.3}", risk.probability));
-                out.set("error_risky", risk.risky.to_string());
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn report(&self, model: &ErrorsModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                (
-                    "embedder".to_string(),
-                    model.predictor.embedder.name().to_string(),
-                ),
-                (
-                    "threshold".to_string(),
-                    format!("{:.2}", model.predictor.threshold),
-                ),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &ErrorsModel) -> Option<String> {
-        crate::persist::to_json(&ErrorsState {
-            forest: model.predictor.model.to_state(),
-            threshold: model.predictor.threshold,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<ErrorsModel> {
-        let state: ErrorsState = crate::persist::from_json(json, "errors model")?;
-        crate::persist::check_forest(&state.forest, self.embedder.dim())?;
-        let model =
-            RandomForest::from_state(state.forest).map_err(crate::persist::bad_learn_state)?;
-        Ok(ErrorsModel {
-            predictor: ErrorPredictor {
-                embedder: Arc::clone(&self.embedder),
-                model,
-                threshold: state.threshold,
-            },
-            trained_queries: state.trained_queries,
-        })
-    }
-}
-
-/// Serialized form of an [`ErrorsModel`]. The threshold travels with
-/// the model (it is a label-time decision rule), so a restored model
-/// flags exactly the queries the saved one did.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct ErrorsState {
-    forest: querc_learn::ForestState,
-    threshold: f64,
-    trained_queries: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::label::tests::{label, query};
+    use crate::apps::{AppOutput, LabelModel, TrainCorpus, WorkloadApp};
+    use crate::enriched::EnrichedQuery;
+    use querc_workloads::QueryRecord;
 
     /// A workload where one query shape reliably blows memory.
     fn records(seed_off: u64) -> Vec<QueryRecord> {
@@ -253,32 +70,46 @@ mod tests {
             .collect()
     }
 
-    fn predictor() -> ErrorPredictor {
-        ErrorPredictor::train(
-            &records(0),
-            Arc::new(querc_embed::BagOfTokens::new(64, true)),
-            0.5,
-            1,
-        )
+    fn predictor() -> (LabelApp, LabelModel) {
+        // seed ^ 0xe440 == 1: the forest stream these bounds were set on.
+        let app = ErrorsApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
+        let model = app
+            .fit(&TrainCorpus::from_records(records(0), 0xe441))
+            .unwrap();
+        (app, model)
+    }
+
+    fn probability(out: &AppOutput) -> f64 {
+        out.get("error_probability").unwrap().parse().unwrap()
     }
 
     #[test]
     fn flaky_shape_is_risky_safe_shape_is_not() {
-        let p = predictor();
-        let risky = p.assess(
-            "select a.*, b.* from giant_facts a join giant_facts b on a.k = b.k where a.x > 999",
+        let (app, model) = predictor();
+        let out = label(
+            &app,
+            &model,
+            &[
+                query("select a.*, b.* from giant_facts a join giant_facts b on a.k = b.k where a.x > 999", &[]),
+                query("select c from small_dim where id = 999", &[]),
+            ],
         );
-        let safe = p.assess("select c from small_dim where id = 999");
-        assert!(risky.probability > safe.probability);
-        assert!(risky.risky, "{risky:?}");
-        assert!(!safe.risky, "{safe:?}");
+        assert!(probability(&out[0]) > probability(&out[1]));
+        assert_eq!(out[0].get("error_risky"), Some("true"), "{out:?}");
+        assert_eq!(out[1].get("error_risky"), Some("false"), "{out:?}");
     }
 
     #[test]
     fn holdout_accuracy_beats_base_rate() {
-        let p = predictor();
+        let (app, model) = predictor();
         let held = records(7);
-        let acc = p.holdout_accuracy(&held);
+        let batch: Vec<EnrichedQuery> = held.iter().map(|r| query(&r.sql, &[])).collect();
+        let hits = label(&app, &model, &batch)
+            .iter()
+            .zip(&held)
+            .filter(|(o, r)| o.get("error_risky") == Some(&r.is_error().to_string()))
+            .count();
+        let acc = hits as f64 / held.len() as f64;
         // Base rate of the majority class ("no error") is ~81%.
         assert!(acc > 0.85, "accuracy {acc}");
     }
@@ -343,10 +174,13 @@ mod tests {
 
     #[test]
     fn probabilities_in_unit_interval() {
-        let p = predictor();
-        for sql in ["select 1", "drop table x", ""] {
-            let r = p.assess(sql);
-            assert!((0.0..=1.0).contains(&r.probability));
+        let (app, model) = predictor();
+        let batch: Vec<EnrichedQuery> = ["select 1", "drop table x", ""]
+            .iter()
+            .map(|sql| query(sql, &[]))
+            .collect();
+        for out in label(&app, &model, &batch) {
+            assert!((0.0..=1.0).contains(&probability(&out)));
         }
     }
 }

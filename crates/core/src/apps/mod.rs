@@ -9,16 +9,17 @@
 //!
 //! * [`summarize`] — workload summarization for index recommendation
 //!   (§5.1's headline experiment);
-//! * [`audit`] — user/account prediction for security auditing (§5.2);
-//! * [`routing`] — query-routing policy misconfiguration detection;
-//! * [`errors`] — error prediction from query syntax;
-//! * [`resources`] — coarse resource-class prediction for speculative
-//!   allocation;
+//! * [`label`] — one [`LabelApp`] (embed → extra-trees forest → labels
+//!   per query) in four configurations: [`AuditApp`] (user prediction
+//!   for security auditing, §5.2, with [`audit::per_account_accuracy`]
+//!   for Table 2), [`RoutingApp`] (routing-policy misconfiguration
+//!   detection), [`ErrorsApp`] (error prediction from syntax) and
+//!   [`ResourcesApp`] (coarse runtime classes, bucketed by
+//!   [`resources::ResourceBuckets`]);
 //! * [`recommend`] — next-query recommendation over embedding clusters.
 //!
-//! The pre-existing bespoke entry points (`SecurityAuditor::train`,
-//! `summarize_workload`, …) remain as thin wrappers around the same
-//! logic, so offline/ablation code keeps working unchanged.
+//! The paper binaries, examples and tests call these apps directly;
+//! `summarize_workload` stays as a thin wrapper over the summarizer.
 //!
 //! Apps label [`crate::EnrichedQuery`] batches: the enriched envelope
 //! carries memoized tokens and (when the query came through the
@@ -46,6 +47,7 @@
 
 pub mod audit;
 pub mod errors;
+pub mod label;
 pub mod recommend;
 pub mod resources;
 pub mod routing;
@@ -53,6 +55,7 @@ pub mod summarize;
 
 pub use audit::AuditApp;
 pub use errors::ErrorsApp;
+pub use label::{LabelApp, LabelModel};
 pub use recommend::RecommendApp;
 pub use resources::ResourcesApp;
 pub use routing::RoutingApp;
@@ -268,7 +271,8 @@ pub trait DynWorkloadApp: Send + Sync {
     fn fit_dyn(&self, corpus: &TrainCorpus) -> Result<Box<dyn Any + Send + Sync>>;
     /// Type-erased [`WorkloadApp::label_batch`]; fails with
     /// [`QuercError::ModelTypeMismatch`] if `model` was fitted by a
-    /// different app type.
+    /// different app ([`LabelApp`]'s configurations share one model
+    /// type, and its `label_batch` checks which app fitted the model).
     fn label_batch_dyn(
         &self,
         model: &(dyn Any + Send + Sync),

@@ -1,19 +1,36 @@
-//! Resource-class prediction for speculative allocation (paper §4,
-//! "Resource allocation").
+//! Resource classes for speculative allocation (paper §4, "Resource
+//! allocation").
 //!
 //! Syntax cannot predict exact runtimes, but coarse classes (short /
-//! medium / long; memory-light / memory-heavy) are learnable and already
-//! useful for load balancing and admission control. Labels come straight
-//! from the log's measured runtime/memory columns.
+//! medium / long) are learnable and already useful for load balancing
+//! and admission control. [`ResourcesApp`] learns them from the
+//! log's measured runtime column, bucketed by [`ResourceBuckets`].
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
-use crate::enriched::EnrichedQuery;
-use crate::error::Result;
+use super::label::{LabelApp, LabelSpec, Output};
 use querc_embed::Embedder;
-use querc_learn::{Classifier, ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
 use std::sync::Arc;
+
+pub(super) const RESOURCES: LabelSpec = LabelSpec {
+    name: "resources",
+    task: "predict coarse runtime class before execution",
+    target: |r| ResourceBuckets::default().classify(r.runtime_ms).name(),
+    classes: &["short", "medium", "long"],
+    salt: 0x4e50,
+    outputs: &[Output::Class("resource_class")],
+};
+
+/// Resource-class prediction as a [`LabelApp`]: labels `resource_class`,
+/// the coarse short/medium/long bucket for admission control and load
+/// balancing.
+pub struct ResourcesApp;
+
+impl ResourcesApp {
+    /// The resource-class app over `embedder`.
+    #[allow(clippy::new_ret_no_self)] // every configuration is one type, `LabelApp`
+    pub fn new(embedder: Arc<dyn Embedder>) -> LabelApp {
+        LabelApp::new(&RESOURCES, embedder)
+    }
+}
 
 /// Coarse resource classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,14 +50,6 @@ impl ResourceClass {
             ResourceClass::Short => "short",
             ResourceClass::Medium => "medium",
             ResourceClass::Long => "long",
-        }
-    }
-
-    fn from_id(id: u32) -> ResourceClass {
-        match id {
-            0 => ResourceClass::Short,
-            1 => ResourceClass::Medium,
-            _ => ResourceClass::Long,
         }
     }
 }
@@ -76,215 +85,13 @@ impl ResourceBuckets {
     }
 }
 
-/// A trained resource-class predictor.
-pub struct ResourcePredictor {
-    embedder: Arc<dyn Embedder>,
-    model: RandomForest,
-    /// The thresholds the model was trained against.
-    pub buckets: ResourceBuckets,
-}
-
-impl ResourcePredictor {
-    /// Train a forest mapping query embeddings to runtime classes
-    /// derived from each record's measured `runtime_ms`.
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        buckets: ResourceBuckets,
-        seed: u64,
-    ) -> ResourcePredictor {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let labels: Vec<u32> = records
-            .iter()
-            .map(|r| buckets.classify(r.runtime_ms) as u32)
-            .collect();
-        let mut model = RandomForest::new(ForestConfig::extra_trees(40));
-        let mut rng = Pcg32::with_stream(seed, 0x4e50);
-        model.fit(&vectors, &labels, 3, &mut rng);
-        ResourcePredictor {
-            embedder,
-            model,
-            buckets,
-        }
-    }
-
-    /// Predict the class of an incoming query before running it.
-    pub fn predict(&self, sql: &str) -> ResourceClass {
-        self.predict_vector(&self.embedder.embed_sql(sql))
-    }
-
-    /// Predict the class from a precomputed embedding vector — shared
-    /// by the SQL-level, batched, and serving paths.
-    pub fn predict_vector(&self, v: &[f32]) -> ResourceClass {
-        ResourceClass::from_id(self.model.predict(v))
-    }
-
-    /// Held-out accuracy against measured runtimes.
-    pub fn holdout_accuracy(&self, records: &[QueryRecord]) -> f64 {
-        if records.is_empty() {
-            return 0.0;
-        }
-        let hits = records
-            .iter()
-            .filter(|r| self.predict(&r.sql) == self.buckets.classify(r.runtime_ms))
-            .count();
-        hits as f64 / records.len() as f64
-    }
-
-    /// Predict classes for a chunk of pre-tokenized queries through the
-    /// embedder's batched path.
-    pub fn predict_batch(&self, docs: &[Vec<String>]) -> Vec<ResourceClass> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.predict_vector(v))
-            .collect()
-    }
-}
-
-/// [`ResourcePredictor`] behind the uniform [`WorkloadApp`] interface.
-///
-/// Labels attached per query: `resource_class` — the coarse
-/// short/medium/long bucket for admission control and load balancing.
-pub struct ResourcesApp {
-    embedder: Arc<dyn Embedder>,
-    /// Runtime thresholds defining the three classes.
-    pub buckets: ResourceBuckets,
-}
-
-impl ResourcesApp {
-    /// A resource-class app over `embedder` with the default thresholds.
-    pub fn new(embedder: Arc<dyn Embedder>) -> ResourcesApp {
-        ResourcesApp {
-            embedder,
-            buckets: ResourceBuckets::default(),
-        }
-    }
-
-    /// Override the runtime thresholds.
-    pub fn with_buckets(mut self, buckets: ResourceBuckets) -> ResourcesApp {
-        self.buckets = buckets;
-        self
-    }
-}
-
-/// A fitted resource model plus its training size.
-pub struct ResourcesModel {
-    /// The underlying trained predictor (bespoke entry point).
-    pub predictor: ResourcePredictor,
-    trained_queries: usize,
-}
-
-impl WorkloadApp for ResourcesApp {
-    type Model = ResourcesModel;
-
-    fn name(&self) -> &'static str {
-        "resources"
-    }
-
-    fn task(&self) -> &'static str {
-        "predict coarse runtime class before execution"
-    }
-
-    fn fit(&self, corpus: &TrainCorpus) -> Result<ResourcesModel> {
-        corpus.require_records("resources.fit")?;
-        Ok(ResourcesModel {
-            predictor: ResourcePredictor::train(
-                &corpus.records,
-                Arc::clone(&self.embedder),
-                self.buckets,
-                corpus.seed ^ 0x4e50,
-            ),
-            trained_queries: corpus.len(),
-        })
-    }
-
-    fn label_batch(
-        &self,
-        model: &ResourcesModel,
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.predictor.embedder.as_ref());
-        Ok(vectors
-            .iter()
-            .map(|v| {
-                let class = model.predictor.predict_vector(v);
-                let mut out = AppOutput::new();
-                out.set("resource_class", class.name());
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn report(&self, model: &ResourcesModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                (
-                    "embedder".to_string(),
-                    model.predictor.embedder.name().to_string(),
-                ),
-                (
-                    "short_below_ms".to_string(),
-                    format!("{:.0}", model.predictor.buckets.short_below_ms),
-                ),
-                (
-                    "long_above_ms".to_string(),
-                    format!("{:.0}", model.predictor.buckets.long_above_ms),
-                ),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &ResourcesModel) -> Option<String> {
-        crate::persist::to_json(&ResourcesState {
-            forest: model.predictor.model.to_state(),
-            short_below_ms: model.predictor.buckets.short_below_ms,
-            long_above_ms: model.predictor.buckets.long_above_ms,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<ResourcesModel> {
-        let state: ResourcesState = crate::persist::from_json(json, "resources model")?;
-        crate::persist::check_forest(&state.forest, self.embedder.dim())?;
-        let model =
-            RandomForest::from_state(state.forest).map_err(crate::persist::bad_learn_state)?;
-        Ok(ResourcesModel {
-            predictor: ResourcePredictor {
-                embedder: Arc::clone(&self.embedder),
-                model,
-                buckets: ResourceBuckets {
-                    short_below_ms: state.short_below_ms,
-                    long_above_ms: state.long_above_ms,
-                },
-            },
-            trained_queries: state.trained_queries,
-        })
-    }
-}
-
-/// Serialized form of a [`ResourcesModel`]: the forest plus the
-/// thresholds its class ids were derived from (flattened — the derive
-/// shim only handles scalar/Vec/String fields).
-#[derive(serde::Serialize, serde::Deserialize)]
-struct ResourcesState {
-    forest: querc_learn::ForestState,
-    short_below_ms: f64,
-    long_above_ms: f64,
-    trained_queries: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::label::tests::{label, query};
+    use crate::apps::{LabelModel, TrainCorpus, WorkloadApp};
+    use crate::enriched::EnrichedQuery;
+    use querc_workloads::QueryRecord;
 
     fn records(offset: u64) -> Vec<QueryRecord> {
         (0..90)
@@ -316,6 +123,14 @@ mod tests {
             .collect()
     }
 
+    /// The app fitted on `records(0)` with the forest stream `seed`.
+    fn predictor(seed: u64) -> (LabelApp, LabelModel) {
+        let app = ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
+        let corpus = TrainCorpus::from_records(records(0), seed ^ 0x4e50);
+        let model = app.fit(&corpus).unwrap();
+        (app, model)
+    }
+
     #[test]
     fn buckets_classify_correctly() {
         let b = ResourceBuckets::default();
@@ -327,33 +142,34 @@ mod tests {
 
     #[test]
     fn predicts_classes_from_syntax() {
-        let p = ResourcePredictor::train(
-            &records(0),
-            Arc::new(querc_embed::BagOfTokens::new(64, true)),
-            ResourceBuckets::default(),
-            1,
+        let (app, model) = predictor(1);
+        let out = label(
+            &app,
+            &model,
+            &[
+                query("select v from kv_store where k = 999", &[]),
+                query(
+                    "select a.g, sum(b.v) from big_facts a join big_facts b on a.k = b.k group by a.g",
+                    &[],
+                ),
+            ],
         );
-        assert_eq!(
-            p.predict("select v from kv_store where k = 999"),
-            ResourceClass::Short
-        );
-        assert_eq!(
-            p.predict(
-                "select a.g, sum(b.v) from big_facts a join big_facts b on a.k = b.k group by a.g"
-            ),
-            ResourceClass::Long
-        );
+        assert_eq!(out[0].get("resource_class"), Some("short"));
+        assert_eq!(out[1].get("resource_class"), Some("long"));
     }
 
     #[test]
     fn holdout_accuracy_is_high_on_separable_shapes() {
-        let p = ResourcePredictor::train(
-            &records(0),
-            Arc::new(querc_embed::BagOfTokens::new(64, true)),
-            ResourceBuckets::default(),
-            2,
-        );
-        let acc = p.holdout_accuracy(&records(5));
+        let (app, model) = predictor(2);
+        let held = records(5);
+        let batch: Vec<EnrichedQuery> = held.iter().map(|r| query(&r.sql, &[])).collect();
+        let buckets = ResourceBuckets::default();
+        let hits = label(&app, &model, &batch)
+            .iter()
+            .zip(&held)
+            .filter(|(o, r)| o.get("resource_class") == Some(buckets.classify(r.runtime_ms).name()))
+            .count();
+        let acc = hits as f64 / held.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
@@ -381,11 +197,7 @@ mod tests {
     #[test]
     fn model_round_trips_through_save_load() {
         let corpus = TrainCorpus::from_records(records(0), 4);
-        let app = ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)))
-            .with_buckets(ResourceBuckets {
-                short_below_ms: 50.0,
-                long_above_ms: 900.0,
-            });
+        let app = ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
         let model = app.fit(&corpus).unwrap();
         let json = app.save_model(&model).expect("forest is persistable");
         let restored = app.load_model(&json).unwrap();
@@ -401,14 +213,13 @@ mod tests {
             app.label_batch(&model, &batch).unwrap(),
             app.label_batch(&restored, &batch).unwrap()
         );
-        assert!((restored.predictor.buckets.long_above_ms - 900.0).abs() < 1e-12);
         assert_eq!(app.report(&restored), app.report(&model));
     }
 
     #[test]
     fn class_names() {
         assert_eq!(ResourceClass::Short.name(), "short");
-        assert_eq!(ResourceClass::from_id(2), ResourceClass::Long);
-        assert_eq!(ResourceClass::from_id(99), ResourceClass::Long);
+        assert_eq!(ResourceClass::Medium.name(), "medium");
+        assert_eq!(ResourceClass::Long.name(), "long");
     }
 }

@@ -8,287 +8,44 @@
 //! flag queries whose predicted cluster disagrees with the assigned one —
 //! surfacing policy misconfigurations without parsing a single rule.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
-use crate::classifier::TrainedLabeler;
-use crate::enriched::EnrichedQuery;
-use crate::error::Result;
+use super::label::{LabelApp, LabelSpec, Output};
 use querc_embed::Embedder;
-use querc_learn::{Classifier, ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
 use std::sync::Arc;
 
-/// One suspected misrouting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutingAnomaly {
-    /// Index into the checked batch.
-    pub index: usize,
-    /// The cluster the routing policy actually assigned.
-    pub assigned_cluster: String,
-    /// The cluster the learned model expected.
-    pub predicted_cluster: String,
-    /// Classifier confidence in the predicted cluster (mean tree vote).
-    pub confidence: f64,
-}
+pub(super) const ROUTING: LabelSpec = LabelSpec {
+    name: "routing",
+    task: "learn historical query routing; flag assignments the model contradicts",
+    target: |r| r.cluster.as_str(),
+    classes: &[],
+    salt: 0x4072,
+    outputs: &[
+        Output::Disagrees("routing_anomaly", "cluster", 0.6),
+        Output::Class("predicted_cluster"),
+        Output::Confidence("routing_confidence"),
+    ],
+};
 
-/// A trained routing-policy checker.
-pub struct RoutingChecker {
-    embedder: Arc<dyn Embedder>,
-    model: RandomForest,
-    labels: crate::classifier::LabelMap,
-    /// Only disagreements at or above this confidence are reported.
-    pub min_confidence: f64,
-}
-
-impl RoutingChecker {
-    /// Learn historical routing from labeled records.
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        min_confidence: f64,
-        seed: u64,
-    ) -> RoutingChecker {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let (labels, ids) =
-            crate::classifier::LabelMap::from_labels(records.iter().map(|r| r.cluster.as_str()));
-        let mut model = RandomForest::new(ForestConfig::extra_trees(40));
-        let mut rng = Pcg32::with_stream(seed, 0x4072);
-        model.fit(&vectors, &ids, labels.len().max(1), &mut rng);
-        RoutingChecker {
-            embedder,
-            model,
-            labels,
-            min_confidence,
-        }
-    }
-
-    /// Check a batch of assignments; returns suspected misroutings.
-    /// Embeds through the batched path.
-    pub fn check(&self, records: &[QueryRecord]) -> Vec<RoutingAnomaly> {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        self.predict_batch(&docs)
-            .into_iter()
-            .zip(records)
-            .enumerate()
-            .filter_map(|(index, ((predicted, confidence), r))| {
-                (predicted != r.cluster && confidence >= self.min_confidence).then_some(
-                    RoutingAnomaly {
-                        index,
-                        assigned_cluster: r.cluster.clone(),
-                        predicted_cluster: predicted,
-                        confidence,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Predict the policy cluster for a brand-new query.
-    pub fn predict(&self, sql: &str) -> String {
-        self.predict_vector(&self.embedder.embed_sql(sql)).0
-    }
-
-    /// Predict `(cluster, confidence)` from a precomputed embedding
-    /// vector — the single decision rule shared by the SQL-level,
-    /// batched, and serving paths.
-    pub fn predict_vector(&self, v: &[f32]) -> (String, f64) {
-        let proba = self.model.proba(v);
-        match querc_linalg::stats::argmax(&proba) {
-            Some(best) => (
-                self.labels
-                    .name(best as u32)
-                    .unwrap_or("<unknown>")
-                    .to_string(),
-                proba[best] as f64,
-            ),
-            None => ("<unknown>".to_string(), 0.0),
-        }
-    }
-
-    /// Predict `(cluster, confidence)` for a chunk of pre-tokenized
-    /// queries through the embedder's batched path.
-    pub fn predict_batch(&self, docs: &[Vec<String>]) -> Vec<(String, f64)> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.predict_vector(v))
-            .collect()
-    }
-
-    /// Distinct clusters seen at training time.
-    pub fn known_clusters(&self) -> usize {
-        self.labels.len()
-    }
-}
-
-/// [`RoutingChecker`] behind the uniform [`WorkloadApp`] interface.
-///
-/// Labels attached per query: `predicted_cluster`,
+/// Routing checking as a [`LabelApp`]: labels `predicted_cluster` and
 /// `routing_confidence`, plus `routing_anomaly=true` when the query
-/// carries a `cluster` label that disagrees with a confident
-/// prediction.
-pub struct RoutingApp {
-    embedder: Arc<dyn Embedder>,
-    /// Disagreements below this confidence are not flagged.
-    pub min_confidence: f64,
-}
+/// carries a `cluster` that a prediction of confidence ≥ 0.6 contradicts.
+pub struct RoutingApp;
 
 impl RoutingApp {
-    /// A routing-check app over `embedder` with the default confidence
-    /// threshold.
-    pub fn new(embedder: Arc<dyn Embedder>) -> RoutingApp {
-        RoutingApp {
-            embedder,
-            min_confidence: 0.6,
-        }
+    /// The routing-check app over `embedder`.
+    #[allow(clippy::new_ret_no_self)] // every configuration is one type, `LabelApp`
+    pub fn new(embedder: Arc<dyn Embedder>) -> LabelApp {
+        LabelApp::new(&ROUTING, embedder)
     }
-
-    /// Override the minimum confidence for flagging a disagreement.
-    pub fn with_min_confidence(mut self, min_confidence: f64) -> RoutingApp {
-        self.min_confidence = min_confidence;
-        self
-    }
-}
-
-/// A fitted routing model plus its training size.
-pub struct RoutingModel {
-    /// The underlying trained checker (bespoke entry point).
-    pub checker: RoutingChecker,
-    trained_queries: usize,
-}
-
-impl WorkloadApp for RoutingApp {
-    type Model = RoutingModel;
-
-    fn name(&self) -> &'static str {
-        "routing"
-    }
-
-    fn task(&self) -> &'static str {
-        "learn historical query routing; flag assignments the model contradicts"
-    }
-
-    fn fit(&self, corpus: &TrainCorpus) -> Result<RoutingModel> {
-        corpus.require_records("routing.fit")?;
-        Ok(RoutingModel {
-            checker: RoutingChecker::train(
-                &corpus.records,
-                Arc::clone(&self.embedder),
-                self.min_confidence,
-                corpus.seed ^ 0x4072,
-            ),
-            trained_queries: corpus.len(),
-        })
-    }
-
-    fn label_batch(&self, model: &RoutingModel, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.checker.embedder.as_ref());
-        Ok(batch
-            .iter()
-            .zip(vectors)
-            .map(|(q, v)| {
-                let (cluster, confidence) = model.checker.predict_vector(&v);
-                let mut out = AppOutput::new();
-                if let Some(assigned) = q.get("cluster") {
-                    let anomalous =
-                        assigned != cluster && confidence >= model.checker.min_confidence;
-                    out.set("routing_anomaly", anomalous.to_string());
-                }
-                out.set("predicted_cluster", cluster);
-                out.set("routing_confidence", format!("{confidence:.3}"));
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn report(&self, model: &RoutingModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                (
-                    "embedder".to_string(),
-                    model.checker.embedder.name().to_string(),
-                ),
-                (
-                    "clusters".to_string(),
-                    model.checker.known_clusters().to_string(),
-                ),
-                (
-                    "min_confidence".to_string(),
-                    format!("{:.2}", model.checker.min_confidence),
-                ),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &RoutingModel) -> Option<String> {
-        crate::persist::to_json(&RoutingState {
-            forest: model.checker.model.to_state(),
-            labels: model.checker.labels.names().to_vec(),
-            min_confidence: model.checker.min_confidence,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<RoutingModel> {
-        let state: RoutingState = crate::persist::from_json(json, "routing model")?;
-        crate::persist::check_forest(&state.forest, self.embedder.dim())?;
-        let model =
-            RandomForest::from_state(state.forest).map_err(crate::persist::bad_learn_state)?;
-        let labels = crate::classifier::LabelMap::from_names(&state.labels)
-            .ok_or_else(|| crate::persist::corrupt("routing model: duplicate cluster names"))?;
-        Ok(RoutingModel {
-            checker: RoutingChecker {
-                embedder: Arc::clone(&self.embedder),
-                model,
-                labels,
-                min_confidence: state.min_confidence,
-            },
-            trained_queries: state.trained_queries,
-        })
-    }
-}
-
-/// Serialized form of a [`RoutingModel`]: the forest, the cluster
-/// vocabulary in class-id order, and the label-time confidence floor.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct RoutingState {
-    forest: querc_learn::ForestState,
-    labels: Vec<String>,
-    min_confidence: f64,
-    trained_queries: usize,
-}
-
-/// Convenience: a plain (embedder, labeler) cluster classifier for use in
-/// the generic labeling pipeline.
-pub fn train_cluster_labeler(
-    records: &[QueryRecord],
-    embedder: &Arc<dyn Embedder>,
-    seed: u64,
-) -> TrainedLabeler {
-    let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-    let vectors = embedder.embed_batch(&docs);
-    let names: Vec<&str> = records.iter().map(|r| r.cluster.as_str()).collect();
-    let mut rng = Pcg32::with_stream(seed, 0x4073);
-    TrainedLabeler::train(
-        RandomForest::new(ForestConfig::extra_trees(40)),
-        &vectors,
-        &names,
-        &mut rng,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::label::tests::{label, query};
+    use crate::apps::{AppOutput, LabelModel, TrainCorpus, WorkloadApp};
+    use crate::enriched::EnrichedQuery;
     use querc_embed::BagOfTokens;
+    use querc_workloads::QueryRecord;
 
     fn records() -> Vec<QueryRecord> {
         (0..60)
@@ -319,11 +76,36 @@ mod tests {
             .collect()
     }
 
+    /// `spec` fitted on `recs` with the forest stream `seed`.
+    fn checker(
+        spec: &'static LabelSpec,
+        recs: &[QueryRecord],
+        seed: u64,
+    ) -> (LabelApp, LabelModel) {
+        let app = LabelApp::new(spec, Arc::new(BagOfTokens::new(64, true)));
+        let corpus = TrainCorpus::from_records(recs.to_vec(), seed ^ 0x4072);
+        let model = app.fit(&corpus).unwrap();
+        (app, model)
+    }
+
+    /// Label `recs` with their assigned clusters; the flagged indices.
+    fn check(app: &LabelApp, model: &LabelModel, recs: &[QueryRecord]) -> Vec<(usize, AppOutput)> {
+        let batch: Vec<EnrichedQuery> = recs
+            .iter()
+            .map(|r| query(&r.sql, &[("cluster", &r.cluster)]))
+            .collect();
+        label(app, model, &batch)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, o)| o.get("routing_anomaly") == Some("true"))
+            .collect()
+    }
+
     #[test]
     fn consistent_routing_raises_no_anomalies() {
         let recs = records();
-        let checker = RoutingChecker::train(&recs, Arc::new(BagOfTokens::new(64, true)), 0.6, 1);
-        let anomalies = checker.check(&recs);
+        let (app, model) = checker(&ROUTING, &recs, 1);
+        let anomalies = check(&app, &model, &recs);
         assert!(
             anomalies.len() <= recs.len() / 10,
             "clean assignments flagged: {anomalies:?}"
@@ -335,35 +117,34 @@ mod tests {
         let mut recs = records();
         // A BI query somehow routed to the ETL cluster.
         recs[1].cluster = "etl-cluster".into();
-        let checker = RoutingChecker::train(
-            &records(), // train on CLEAN history
-            Arc::new(BagOfTokens::new(64, true)),
-            0.6,
-            2,
+        let (app, model) = checker(&ROUTING, &records(), 2); // train on CLEAN history
+        let anomalies = check(&app, &model, &recs);
+        let a = anomalies.iter().find(|(i, _)| *i == 1).map(|(_, a)| a);
+        assert_eq!(
+            a.and_then(|a| a.get("predicted_cluster")),
+            Some("bi-cluster"),
+            "{anomalies:?}"
         );
-        let anomalies = checker.check(&recs);
-        assert!(anomalies.iter().any(|a| a.index == 1), "{anomalies:?}");
-        let a = anomalies.iter().find(|a| a.index == 1).unwrap();
-        assert_eq!(a.predicted_cluster, "bi-cluster");
-        assert_eq!(a.assigned_cluster, "etl-cluster");
     }
 
     #[test]
     fn confidence_threshold_suppresses_weak_flags() {
+        const STRICT: LabelSpec = LabelSpec {
+            outputs: &[
+                Output::Disagrees("routing_anomaly", "cluster", 1.01), // impossible confidence
+                Output::Class("predicted_cluster"),
+            ],
+            ..ROUTING
+        };
         let recs = records();
-        let strict = RoutingChecker::train(
-            &recs,
-            Arc::new(BagOfTokens::new(64, true)),
-            1.01, // impossible confidence
-            3,
-        );
-        assert!(strict.check(&recs).is_empty());
+        let (app, model) = checker(&STRICT, &recs, 3);
+        assert!(check(&app, &model, &recs).is_empty());
     }
 
     #[test]
     fn routing_app_implements_workload_app() {
         let corpus = TrainCorpus::from_records(records(), 2);
-        let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true))).with_min_confidence(0.6);
+        let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true)));
         let model = app.fit(&corpus).unwrap();
         // A BI query mislabeled as routed to the ETL cluster.
         let mut misrouted =
@@ -383,7 +164,7 @@ mod tests {
     #[test]
     fn model_round_trips_through_save_load() {
         let corpus = TrainCorpus::from_records(records(), 5);
-        let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true))).with_min_confidence(0.55);
+        let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true)));
         let model = app.fit(&corpus).unwrap();
         let json = app.save_model(&model).expect("forest is persistable");
         let restored = app.load_model(&json).unwrap();
@@ -396,22 +177,21 @@ mod tests {
             app.label_batch(&model, &batch).unwrap(),
             app.label_batch(&restored, &batch).unwrap()
         );
-        // The confidence floor is model state, not app state.
-        assert!((restored.checker.min_confidence - 0.55).abs() < 1e-12);
-        assert_eq!(restored.checker.known_clusters(), 2);
+        assert_eq!(restored.labeler().labels().len(), 2);
     }
 
     #[test]
     fn predict_routes_new_queries() {
-        let checker =
-            RoutingChecker::train(&records(), Arc::new(BagOfTokens::new(64, true)), 0.5, 4);
-        assert_eq!(
-            checker.predict("select sum(y) from finance_cube group by dim9"),
-            "bi-cluster"
+        let (app, model) = checker(&ROUTING, &records(), 4);
+        let out = label(
+            &app,
+            &model,
+            &[
+                query("select sum(y) from finance_cube group by dim9", &[]),
+                query("insert into lake_events select * from staging_9", &[]),
+            ],
         );
-        assert_eq!(
-            checker.predict("insert into lake_events select * from staging_9"),
-            "etl-cluster"
-        );
+        assert_eq!(out[0].get("predicted_cluster"), Some("bi-cluster"));
+        assert_eq!(out[1].get("predicted_cluster"), Some("etl-cluster"));
     }
 }

@@ -104,9 +104,24 @@ impl TrainedLabeler {
 
     /// Fallible training: reports empty corpora, row/label mismatches,
     /// and ragged vector dimensions instead of panicking downstream.
+    /// Class ids follow first-seen order.
     pub fn try_train<C: Classifier + 'static>(
+        model: C,
+        vectors: &[Vec<f32>],
+        label_names: &[&str],
+        rng: &mut Pcg32,
+    ) -> Result<TrainedLabeler> {
+        Self::try_train_classes(model, vectors, &[], label_names, rng)
+    }
+
+    /// [`TrainedLabeler::try_train`] with fixed ids for `classes`: they
+    /// take ids `0..classes.len()` in the order given, whether or not
+    /// the corpus holds them, and any other name follows in first-seen
+    /// order. The id order decides which class wins a tied vote.
+    pub fn try_train_classes<C: Classifier + 'static>(
         mut model: C,
         vectors: &[Vec<f32>],
+        classes: &[&str],
         label_names: &[&str],
         rng: &mut Pcg32,
     ) -> Result<TrainedLabeler> {
@@ -129,7 +144,11 @@ impl TrainedLabeler {
                 got: bad.len(),
             });
         }
-        let (labels, ids) = LabelMap::from_labels(label_names.iter().copied());
+        let mut labels = LabelMap::default();
+        for class in classes {
+            labels.intern(class);
+        }
+        let ids: Vec<u32> = label_names.iter().map(|l| labels.intern(l)).collect();
         model.fit(vectors, &ids, labels.len().max(1), rng);
         Ok(TrainedLabeler {
             model: Box::new(model),
@@ -164,21 +183,38 @@ impl TrainedLabeler {
     /// `search_batch` across the whole chunk. Rejects any vector of the
     /// wrong dimensionality before touching the model.
     pub fn try_predict_refs(&self, vectors: &[&[f32]]) -> Result<Vec<&str>> {
-        for v in vectors {
-            if v.len() != self.dim {
-                return Err(QuercError::DimensionMismatch {
-                    context: "labeler.predict",
-                    expected: self.dim,
-                    got: v.len(),
-                });
-            }
-        }
+        self.check_dims(vectors)?;
         Ok(self
             .model
             .predict_batch_refs(vectors)
             .into_iter()
             .map(|id| self.labels.name(id).unwrap_or("<unknown>"))
             .collect())
+    }
+
+    /// Class probabilities for a chunk of borrowed vectors: `out[i][id]`
+    /// is the model's vote share for class `id` on `vectors[i]`, one
+    /// entry per label. The class a row's argmax picks (first of a tie)
+    /// is the one [`TrainedLabeler::try_predict_refs`] names. Rejects
+    /// any vector of the wrong dimensionality before touching the model.
+    pub fn try_proba_refs(&self, vectors: &[&[f32]]) -> Result<Vec<Vec<f32>>> {
+        self.check_dims(vectors)?;
+        let n_classes = self.labels.len().max(1);
+        Ok(vectors
+            .iter()
+            .map(|v| self.model.predict_proba(v, n_classes))
+            .collect())
+    }
+
+    fn check_dims(&self, vectors: &[&[f32]]) -> Result<()> {
+        match vectors.iter().find(|v| v.len() != self.dim) {
+            Some(v) => Err(QuercError::DimensionMismatch {
+                context: "labeler.predict",
+                expected: self.dim,
+                got: v.len(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Input dimensionality the labeler was trained on.

@@ -22,7 +22,7 @@ pub type Result<T> = std::result::Result<T, QuercError>;
 pub enum QuercError {
     /// A training entry point received zero usable queries.
     EmptyCorpus {
-        /// Which component rejected the corpus (e.g. `"audit.fit"`).
+        /// Which component rejected the corpus (e.g. `"audit"`).
         context: &'static str,
     },
     /// A vector's dimensionality disagrees with the trained model.
@@ -63,9 +63,11 @@ pub enum QuercError {
         context: &'static str,
     },
     /// An app's `label_batch` was handed a model fitted by a different
-    /// app type (only reachable through the type-erased serving path).
+    /// app: one of another type, or another configuration of
+    /// [`crate::apps::LabelApp`] (only reachable through the type-erased
+    /// serving path).
     ModelTypeMismatch {
-        /// The application whose model downcast failed.
+        /// The application that refused the model.
         app: String,
     },
     /// Catch-all for app-specific training failures.

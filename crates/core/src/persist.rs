@@ -4,14 +4,17 @@
 //! a `querc-persist` snapshot, and the shared validation helpers
 //! restore paths use. Every section name is spelled in this module.
 //!
-//! QUERCSNAP v2 sections (see ARCHITECTURE.md for the table):
+//! QUERCSNAP v3 sections (see ARCHITECTURE.md for the table):
 //!
 //! * `manifest`, `registry`, `app:<name>`, `qos` — small JSON documents;
 //! * `embedder:<ns-hex>` — one per distinct
 //!   [`Embedder::cache_namespace`], raw text: the family tag, a newline,
 //!   the `export_spec` payload. Apps and deployments name their
 //!   embedder by namespace, so six apps on one model ship it once;
-//! * `app:<name>:model` — the `save_model` payload, raw text;
+//! * `app:<name>:model` — the `save_model` payload, raw text; the four
+//!   [`crate::apps::LabelApp`] configurations write one shape,
+//!   `{labeler: LabelerState, trained_queries}` (v3 — v2 gave
+//!   `errors`, `resources` and `routing` their own);
 //! * `embed_cache`, `embed_cache_delta` — little-endian binary records.
 //!
 //! The container guarantees sections arrive byte-identical or not at
@@ -141,11 +144,6 @@ pub(crate) fn json_section<T: serde::de::DeserializeOwned>(
         .section(section)
         .map(|bytes| from_json(utf8(bytes, section)?, section))
         .transpose()
-}
-
-/// Map a `querc-learn` restore failure into [`QuercError::Corrupt`].
-pub(crate) fn bad_learn_state(e: querc_learn::LearnError) -> QuercError {
-    corrupt(e.to_string())
 }
 
 /// Reject any tree that splits on a feature column past `dim` — the

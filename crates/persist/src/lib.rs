@@ -11,7 +11,7 @@
 //! interpreted.
 //!
 //! ```text
-//! QUERCSNAP v2\n                          magic + format version
+//! QUERCSNAP v3\n                          magic + format version
 //! SECTION <name> <len> <crc32hex>\n       per-section header
 //! <len payload bytes>\n                   payload (opaque)
 //! ...more sections...
@@ -20,8 +20,9 @@
 //! ```
 //!
 //! The framing is v1's; the version names the **section schema** the
-//! serving layer writes (see ARCHITECTURE.md), which v2 replaced
-//! wholesale. A file of any other version is rejected by name, not read.
+//! serving layer writes (see ARCHITECTURE.md): v2 replaced v1's
+//! wholesale, and v3 gave every labeling app's model one payload shape.
+//! A file of any other version is rejected by name, not read.
 //!
 //! **Every byte once.** [`Snapshot::write_to`] streams through a
 //! buffered writer: a payload is CRC'd in place (slicing-by-8), its
@@ -51,7 +52,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magic + format version, first line of every snapshot.
-pub const MAGIC: &str = "QUERCSNAP v2";
+pub const MAGIC: &str = "QUERCSNAP v3";
 
 /// What every version's magic line starts with.
 const MAGIC_PREFIX: &str = "QUERCSNAP ";
@@ -719,10 +720,10 @@ mod tests {
         for garbage in [
             &b""[..],
             b"\n",
-            b"QUERCSNAP v3\nEND 0 00000000\n",
-            b"QUERCSNAP v2\nSECTION",
-            b"QUERCSNAP v2\nSECTION a 99999999999999999999 0\nEND 0 0\n",
-            b"QUERCSNAP v2\nSECTION a 4 zzzzzzzz\nxxxx\nEND 1 0\n",
+            b"QUERCSNAP v4\nEND 0 00000000\n",
+            b"QUERCSNAP v3\nSECTION",
+            b"QUERCSNAP v3\nSECTION a 99999999999999999999 0\nEND 0 0\n",
+            b"QUERCSNAP v3\nSECTION a 4 zzzzzzzz\nxxxx\nEND 1 0\n",
             b"\xff\xfe\x00\x01",
         ] {
             assert!(SnapshotReader::from_bytes(garbage).is_err());
@@ -731,19 +732,19 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected_by_name_not_read() {
-        // A well-formed v1 file: same framing, older section schema.
-        let v1 = to_bytes(Snapshot::new().add_section("a", b"x".to_vec()))
-            .strip_prefix(MAGIC.as_bytes())
-            .map(|rest| [&b"QUERCSNAP v1"[..], rest].concat())
-            .unwrap();
-        match SnapshotReader::from_bytes(v1) {
-            Err(PersistError::Corrupt { detail }) => {
-                assert!(
-                    detail.contains("\"v1\"") && detail.contains(MAGIC),
+        // Well-formed v1 and v2 files: same framing, older section schemas.
+        for version in ["v1", "v2"] {
+            let old = to_bytes(Snapshot::new().add_section("a", b"x".to_vec()))
+                .strip_prefix(MAGIC.as_bytes())
+                .map(|rest| [format!("QUERCSNAP {version}").as_bytes(), rest].concat())
+                .unwrap();
+            match SnapshotReader::from_bytes(old) {
+                Err(PersistError::Corrupt { detail }) => assert!(
+                    detail.contains(&format!("{version:?}")) && detail.contains(MAGIC),
                     "{detail}"
-                )
+                ),
+                other => panic!("{version} must be rejected, got {other:?}"),
             }
-            other => panic!("v1 must be rejected, got {other:?}"),
         }
     }
 

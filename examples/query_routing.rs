@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example query_routing`
 
-use querc::apps::routing::RoutingChecker;
+use querc::apps::{RoutingApp, TrainCorpus, WorkloadApp};
+use querc::EnrichedQuery;
 use querc_embed::BagOfTokens;
 use querc_workloads::QueryRecord;
 use std::sync::Arc;
@@ -51,12 +52,11 @@ fn main() {
         })
         .collect();
 
-    let checker = RoutingChecker::train(
-        &history,
-        Arc::new(BagOfTokens::new(128, true)),
-        0.6, // report only confident disagreements
-        11,
-    );
+    // Flags only disagreements at confidence 0.6 or more.
+    let app = RoutingApp::new(Arc::new(BagOfTokens::new(128, true)));
+    let model = app
+        .fit(&TrainCorpus::from_records(history.clone(), 11))
+        .expect("non-empty history");
 
     // Live batch with two misrouted analytics queries.
     let mut live = history[..20].to_vec();
@@ -71,25 +71,38 @@ fn main() {
         501,
     ));
 
-    let anomalies = checker.check(&live);
+    let batch: Vec<EnrichedQuery> = live
+        .iter()
+        .map(|r| {
+            let mut q = EnrichedQuery::from_sql(r.sql.clone());
+            q.set("cluster", r.cluster.clone());
+            q
+        })
+        .collect();
+    let outputs = app.label_batch(&model, &batch).expect("a routing model");
+    let anomalies: Vec<usize> = (0..outputs.len())
+        .filter(|&i| outputs[i].get("routing_anomaly") == Some("true"))
+        .collect();
     println!(
         "checked {} routed queries, {} suspected misroutings:",
         live.len(),
         anomalies.len()
     );
-    for a in &anomalies {
+    for i in anomalies {
         println!(
-            "  query #{:>3}: assigned `{}` but looks like `{}` traffic (confidence {:.0}%)",
-            a.index,
-            a.assigned_cluster,
-            a.predicted_cluster,
-            a.confidence * 100.0
+            "  query #{i:>3}: assigned `{}` but looks like `{}` traffic (confidence {})",
+            live[i].cluster,
+            outputs[i].get("predicted_cluster").unwrap_or("?"),
+            outputs[i].get("routing_confidence").unwrap_or("?")
         );
     }
 
-    // The checker also routes brand-new queries.
+    // The same labels route brand-new queries.
+    let fresh =
+        EnrichedQuery::from_sql("select dim9, sum(revenue) from finance_mart group by dim9");
+    let suggestion = app.label_batch(&model, &[fresh]).expect("a routing model");
     println!(
         "\nsuggested cluster for a new query: {}",
-        checker.predict("select dim9, sum(revenue) from finance_mart group by dim9")
+        suggestion[0].get("predicted_cluster").unwrap_or("?")
     );
 }

@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --release --example security_audit`
 
-use querc::apps::audit::{per_account_accuracy, SecurityAuditor};
+use querc::apps::audit::per_account_accuracy;
+use querc::apps::{AuditApp, TrainCorpus, WorkloadApp};
+use querc::EnrichedQuery;
 use querc_embed::{LstmAutoencoder, LstmConfig, VocabConfig};
 use querc_linalg::Pcg32;
 use querc_workloads::record::split_holdout;
@@ -41,11 +43,15 @@ fn main() {
         },
     ));
 
-    let auditor = SecurityAuditor::train(&train, embedder, 30, 17);
+    let app = AuditApp::new(embedder).with_trees(30);
+    let model = app
+        .fit(&TrainCorpus::from_records(train, 17))
+        .expect("non-empty train split");
 
     // Per-account accuracy — Table 2's view of the same model.
     println!("\nper-account user-prediction accuracy (held out):");
-    for row in per_account_accuracy(&auditor, &test).iter().take(6) {
+    let rows = per_account_accuracy(&app, &model, &test).expect("an audit model");
+    for row in rows.iter().take(6) {
         println!(
             "  {:<8} {:>5} queries {:>3} users  {:>5.1}%",
             row.account,
@@ -69,15 +75,20 @@ fn main() {
         .unwrap_or_else(|| "select * from somewhere_else".into());
 
     println!("\ninjected audit scenario:");
-    let verdict = auditor.audit(&foreign_sql, &victim);
+    let mut submission = EnrichedQuery::from_sql(foreign_sql.clone());
+    submission.set("user", victim.clone());
+    let verdict = app
+        .label_batch(&model, &[submission])
+        .expect("an audit model")
+        .remove(0);
     println!(
         "  user `{victim}` submitted: {}",
         &foreign_sql[..foreign_sql.len().min(80)]
     );
     println!(
         "  predicted author: `{}` — {}",
-        verdict.predicted_user,
-        if verdict.flagged {
+        verdict.get("predicted_user").unwrap_or("?"),
+        if verdict.get("audit_flag") == Some("true") {
             "FLAGGED for audit"
         } else {
             "passed"

@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --release --example workload_explorer`
 
-use querc::apps::errors::ErrorPredictor;
 use querc::apps::recommend::QueryRecommender;
-use querc::apps::resources::{ResourceBuckets, ResourcePredictor};
+use querc::apps::resources::ResourceBuckets;
+use querc::apps::{ErrorsApp, ResourcesApp, TrainCorpus, WorkloadApp};
+use querc::EnrichedQuery;
 use querc_cluster::{choose_k_elbow, kmeans, mean_silhouette, KMeansConfig};
 use querc_embed::{BagOfTokens, Embedder};
 use querc_linalg::Pcg32;
@@ -50,27 +51,47 @@ fn main() {
     }
 
     // --- error prediction -------------------------------------------------
-    let errors = wl.records.iter().filter(|r| r.is_error()).count();
-    let predictor = ErrorPredictor::train(&wl.records, Arc::clone(&embedder), 0.5, 5);
-    println!("\nerror prediction: {errors} failures in the log");
-    let risky = wl
+    let batch: Vec<EnrichedQuery> = wl
         .records
         .iter()
-        .filter(|r| predictor.assess(&r.sql).risky)
+        .map(|r| EnrichedQuery::from_sql(r.sql.clone()))
+        .collect();
+    let errors = wl.records.iter().filter(|r| r.is_error()).count();
+    let errors_app = ErrorsApp::new(Arc::clone(&embedder));
+    let errors_model = errors_app
+        .fit(&TrainCorpus::from_records(wl.records.clone(), 5))
+        .expect("non-empty log");
+    println!("\nerror prediction: {errors} failures in the log");
+    let risky = errors_app
+        .label_batch(&errors_model, &batch)
+        .expect("an errors model")
+        .iter()
+        .filter(|o| o.get("error_risky") == Some("true"))
         .count();
     println!("  {risky} queries flagged as risky before execution");
 
     // --- resource classes --------------------------------------------------
     let buckets = ResourceBuckets::default();
-    let resources = ResourcePredictor::train(&wl.records, Arc::clone(&embedder), buckets, 9);
+    let resources_app = ResourcesApp::new(Arc::clone(&embedder));
+    let resources_model = resources_app
+        .fit(&TrainCorpus::from_records(wl.records.clone(), 9))
+        .expect("non-empty log");
+    let classes = resources_app
+        .label_batch(&resources_model, &batch)
+        .expect("a resources model");
+    let hits = classes
+        .iter()
+        .zip(&wl.records)
+        .filter(|(o, r)| o.get("resource_class") == Some(buckets.classify(r.runtime_ms).name()))
+        .count();
     println!(
         "\nresource hints (held-in accuracy {:.0}%):",
-        resources.holdout_accuracy(&wl.records) * 100.0
+        100.0 * hits as f64 / wl.records.len() as f64
     );
-    for r in wl.records.iter().take(3) {
+    for (r, o) in wl.records.iter().zip(&classes).take(3) {
         println!(
             "  predicted `{}` for: {}",
-            resources.predict(&r.sql).name(),
+            o.get("resource_class").unwrap_or("?"),
             &r.sql[..r.sql.len().min(70)]
         );
     }

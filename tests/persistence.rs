@@ -832,9 +832,9 @@ fn a_v1_snapshot_is_refused_by_version_not_read() {
     let mgr = WorkloadManager::new(WorkloadManagerConfig::default());
     mgr.checkpoint(&path).unwrap();
     drop(mgr.drain());
-    let v2 = std::fs::read(&path).unwrap();
-    let body = v2
-        .strip_prefix(b"QUERCSNAP v2")
+    let current = std::fs::read(&path).unwrap();
+    let body = current
+        .strip_prefix(querc_persist::MAGIC.as_bytes())
         .expect("the one version string");
     std::fs::write(&path, [b"QUERCSNAP v1", body].concat()).unwrap();
     match WorkloadManager::restore(&path, WorkloadManagerConfig::default()) {

@@ -5,17 +5,50 @@
 //! module and a deploy/serve round-trip through a second manager's
 //! registry.
 
-use querc::apps::audit::{per_account_accuracy, SecurityAuditor};
-use querc::apps::{ResourcesApp, TrainCorpus};
+use querc::apps::audit::per_account_accuracy;
+use querc::apps::{AuditApp, LabelApp, LabelModel, ResourcesApp, TrainCorpus, WorkloadApp};
 use querc::{
-    EmbedderKind, FittedApp, LabeledQuery, TrainingConfig, TrainingModule, WorkloadManager,
-    WorkloadManagerConfig,
+    EmbedderKind, EnrichedQuery, FittedApp, LabeledQuery, TrainingConfig, TrainingModule,
+    WorkloadManager, WorkloadManagerConfig,
 };
 use querc_embed::{LstmAutoencoder, LstmConfig, VocabConfig};
 use querc_linalg::Pcg32;
 use querc_workloads::record::split_holdout;
-use querc_workloads::{SnowCloud, SnowCloudConfig};
+use querc_workloads::{QueryRecord, SnowCloud, SnowCloudConfig};
 use std::sync::Arc;
+
+/// A 30-tree audit app fitted on `records`. The app draws its forest
+/// from `Pcg32::with_stream(corpus_seed ^ 0xa0d1, 0xa0d1)`, so the
+/// forest's stream is `seed`.
+fn audit(
+    records: &[QueryRecord],
+    embedder: Arc<dyn querc_embed::Embedder>,
+    seed: u64,
+) -> (LabelApp, LabelModel) {
+    let app = AuditApp::new(embedder).with_trees(30);
+    let corpus = TrainCorpus::from_records(records.to_vec(), seed ^ 0xa0d1);
+    let model = app.fit(&corpus).unwrap();
+    (app, model)
+}
+
+/// Share of `records` whose `account` the app predicts, when the app was
+/// fitted with each record's account in its `user` field.
+fn account_accuracy(app: &LabelApp, model: &LabelModel, records: &[QueryRecord]) -> f64 {
+    let batch: Vec<EnrichedQuery> = records
+        .iter()
+        .map(|r| {
+            let mut q = EnrichedQuery::from_sql(r.sql.clone());
+            q.set("user", r.account.clone());
+            q
+        })
+        .collect();
+    let outputs = app.label_batch(model, &batch).unwrap();
+    let hits = outputs
+        .iter()
+        .filter(|o| o.get("audit_flag") == Some("false"))
+        .count();
+    hits as f64 / records.len() as f64
+}
 
 fn small_lstm(corpus: &[Vec<String>]) -> LstmAutoencoder {
     LstmAutoencoder::train(
@@ -50,14 +83,8 @@ fn account_labeling_is_strong_and_repetitive_users_are_hard() {
     for r in &mut account_records {
         r.user = r.account.clone();
     }
-    let account_clf = SecurityAuditor::train(&account_records, Arc::clone(&embedder), 30, 5);
-    let mut hits = 0;
-    for r in &test {
-        if !account_clf.audit(&r.sql, &r.account).flagged {
-            hits += 1;
-        }
-    }
-    let account_acc = hits as f64 / test.len() as f64;
+    let (account_app, account_model) = audit(&account_records, Arc::clone(&embedder), 5);
+    let account_acc = account_accuracy(&account_app, &account_model, &test);
     assert!(
         account_acc > 0.75,
         "account labeling should be strong, got {account_acc:.2}"
@@ -65,8 +92,8 @@ fn account_labeling_is_strong_and_repetitive_users_are_hard() {
 
     // User prediction: repetitive accounts must sit clearly below the
     // clean tail accounts.
-    let auditor = SecurityAuditor::train(&train, Arc::clone(&embedder), 30, 6);
-    let rows = per_account_accuracy(&auditor, &test);
+    let (app, model) = audit(&train, Arc::clone(&embedder), 6);
+    let rows = per_account_accuracy(&app, &model, &test).unwrap();
     let rep: Vec<f64> = rows
         .iter()
         .filter(|r| matches!(r.account.as_str(), "acct00" | "acct01"))
@@ -152,12 +179,8 @@ fn transfer_embedder_labels_a_different_workload() {
     for r in &mut account_records {
         r.user = r.account.clone();
     }
-    let clf = SecurityAuditor::train(&account_records, embedder, 30, 13);
-    let hits = test
-        .iter()
-        .filter(|r| !clf.audit(&r.sql, &r.account).flagged)
-        .count();
-    let acc = hits as f64 / test.len() as f64;
+    let (app, model) = audit(&account_records, embedder, 13);
+    let acc = account_accuracy(&app, &model, &test);
     // 13 accounts → chance ≈ 18% by majority class; transfer must do far
     // better even though no target-tenant query was seen in pre-training.
     assert!(acc > 0.5, "transfer account labeling {acc:.2}");
