@@ -142,6 +142,44 @@ mod tests {
     }
 
     #[test]
+    fn only_a_prediction_of_confidence_0_6_or_more_flags_a_disagreement() {
+        let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true)));
+        let model = app.fit(&TrainCorpus::from_records(records(), 2)).unwrap();
+        // Mixed-shape queries the forest splits its votes on, each routed
+        // to the cluster it does not predict.
+        let out = label(
+            &app,
+            &model,
+            &[
+                query(
+                    "select * from staging_1 group by dim1",
+                    &[("cluster", "bi-cluster")],
+                ),
+                query(
+                    "insert into finance_cube select sum(x) from lake_events",
+                    &[("cluster", "etl-cluster")],
+                ),
+            ],
+        );
+        let confidence =
+            |o: &AppOutput| -> f64 { o.get("routing_confidence").unwrap().parse().unwrap() };
+        assert_eq!(
+            out[0].get("predicted_cluster"),
+            Some("etl-cluster"),
+            "{out:?}"
+        );
+        assert!((0.6..0.7).contains(&confidence(&out[0])), "{out:?}");
+        assert_eq!(out[0].get("routing_anomaly"), Some("true"));
+        assert_eq!(
+            out[1].get("predicted_cluster"),
+            Some("bi-cluster"),
+            "{out:?}"
+        );
+        assert!((0.5..0.6).contains(&confidence(&out[1])), "{out:?}");
+        assert_eq!(out[1].get("routing_anomaly"), Some("false"));
+    }
+
+    #[test]
     fn routing_app_implements_workload_app() {
         let corpus = TrainCorpus::from_records(records(), 2);
         let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true)));

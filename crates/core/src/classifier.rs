@@ -194,9 +194,10 @@ impl TrainedLabeler {
 
     /// Class probabilities for a chunk of borrowed vectors: `out[i][id]`
     /// is the model's vote share for class `id` on `vectors[i]`, one
-    /// entry per label. The class a row's argmax picks (first of a tie)
-    /// is the one [`TrainedLabeler::try_predict_refs`] names. Rejects
-    /// any vector of the wrong dimensionality before touching the model.
+    /// entry per label. For a forest or a tree, a row's argmax (first of
+    /// a tie) is the class [`TrainedLabeler::try_predict_refs`] names.
+    /// Rejects any vector of the wrong dimensionality before touching
+    /// the model.
     pub fn try_proba_refs(&self, vectors: &[&[f32]]) -> Result<Vec<Vec<f32>>> {
         self.check_dims(vectors)?;
         let n_classes = self.labels.len().max(1);
