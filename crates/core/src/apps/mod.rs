@@ -7,8 +7,6 @@
 //! itself with an [`AppReport`] — and is served uniformly by the
 //! [`crate::service::WorkloadManager`] (paper Fig 1's Qworker fabric).
 //!
-//! * [`summarize`] — workload summarization for index recommendation
-//!   (§5.1's headline experiment);
 //! * [`label`] — one [`LabelApp`] (embed → extra-trees forest → labels
 //!   per query) in four configurations: [`AuditApp`] (user prediction
 //!   for security auditing, §5.2, with [`audit::per_account_accuracy`]
@@ -16,10 +14,20 @@
 //!   detection), [`ErrorsApp`] (error prediction from syntax) and
 //!   [`ResourcesApp`] (coarse runtime classes, bucketed by
 //!   [`resources::ResourceBuckets`]);
-//! * [`recommend`] — next-query recommendation over embedding clusters.
+//! * [`cluster`] — one [`ClusterApp`] (embed → k-means → one witness
+//!   query per cluster → the nearest centroid and one SQL string per
+//!   query) in two configurations: [`SummarizeApp`] (workload
+//!   summarization for index recommendation, §5.1's headline
+//!   experiment, labeling each query with its cluster's witness) and
+//!   [`RecommendApp`] (next-query recommendation, labeling each query
+//!   with the witness of the cluster that most often follows its own
+//!   in per-user sessions).
 //!
-//! The paper binaries, examples and tests call these apps directly;
-//! `summarize_workload` stays as a thin wrapper over the summarizer.
+//! The paper binaries, examples and tests call these apps directly.
+//! The offline summarizer [`summarize::summarize_workload`] returns the
+//! witness indices of a workload and shares the app's k → k-means →
+//! witnesses step; its syntactic k-medoids and random-sample baselines
+//! stand alone.
 //!
 //! Apps label [`crate::EnrichedQuery`] batches: the enriched envelope
 //! carries memoized tokens and (when the query came through the
@@ -46,6 +54,7 @@
 //! ```
 
 pub mod audit;
+pub mod cluster;
 pub mod errors;
 pub mod label;
 pub mod recommend;
@@ -54,6 +63,7 @@ pub mod routing;
 pub mod summarize;
 
 pub use audit::AuditApp;
+pub use cluster::{ClusterApp, ClusterModel};
 pub use errors::ErrorsApp;
 pub use label::{LabelApp, LabelModel};
 pub use recommend::RecommendApp;
@@ -67,44 +77,22 @@ use crate::labeled::LabeledQuery;
 use querc_embed::Embedder;
 use querc_workloads::QueryRecord;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Training input shared by every application: labeled log records plus
-/// per-user session histories (consumed by the recommendation app).
+/// Training input shared by every application: labeled log records and
+/// the master seed.
 #[derive(Debug, Clone, Default)]
 pub struct TrainCorpus {
     /// Labeled log records — the `(Q, c1, c2, …)` tuples of §2.
     pub records: Vec<QueryRecord>,
-    /// Ordered per-session query texts (for sequence models).
-    pub histories: Vec<Vec<String>>,
     /// Master seed; each app derives its own stream from it.
     pub seed: u64,
 }
 
 impl TrainCorpus {
-    /// Build a corpus from log records, deriving session histories by
-    /// grouping on `user` and ordering by `timestamp`.
+    /// A corpus of `records` under `seed`.
     pub fn from_records(records: Vec<QueryRecord>, seed: u64) -> TrainCorpus {
-        let mut by_user: BTreeMap<&str, Vec<(u64, &str)>> = BTreeMap::new();
-        for r in &records {
-            by_user
-                .entry(r.user.as_str())
-                .or_default()
-                .push((r.timestamp, r.sql.as_str()));
-        }
-        let histories = by_user
-            .into_values()
-            .map(|mut h| {
-                h.sort_by_key(|(t, _)| *t);
-                h.into_iter().map(|(_, sql)| sql.to_string()).collect()
-            })
-            .collect();
-        TrainCorpus {
-            records,
-            histories,
-            seed,
-        }
+        TrainCorpus { records, seed }
     }
 
     /// Number of training records.
@@ -271,8 +259,9 @@ pub trait DynWorkloadApp: Send + Sync {
     fn fit_dyn(&self, corpus: &TrainCorpus) -> Result<Box<dyn Any + Send + Sync>>;
     /// Type-erased [`WorkloadApp::label_batch`]; fails with
     /// [`QuercError::ModelTypeMismatch`] if `model` was fitted by a
-    /// different app ([`LabelApp`]'s configurations share one model
-    /// type, and its `label_batch` checks which app fitted the model).
+    /// different app ([`LabelApp`]'s and [`ClusterApp`]'s configurations
+    /// each share one model type, and their `label_batch` checks which
+    /// app fitted the model).
     fn label_batch_dyn(
         &self,
         model: &(dyn Any + Send + Sync),
@@ -345,40 +334,6 @@ impl<A: WorkloadApp> DynWorkloadApp for A {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(user: &str, sql: &str, ts: u64) -> QueryRecord {
-        QueryRecord {
-            sql: sql.into(),
-            user: user.into(),
-            account: "a".into(),
-            cluster: "c".into(),
-            dialect: "generic".into(),
-            runtime_ms: 1.0,
-            mem_mb: 1.0,
-            error_code: None,
-            timestamp: ts,
-        }
-    }
-
-    #[test]
-    fn from_records_derives_ordered_histories() {
-        let corpus = TrainCorpus::from_records(
-            vec![
-                record("u1", "select 2", 20),
-                record("u2", "select 9", 5),
-                record("u1", "select 1", 10),
-            ],
-            7,
-        );
-        assert_eq!(corpus.len(), 3);
-        assert_eq!(
-            corpus.histories,
-            vec![
-                vec!["select 1".to_string(), "select 2".to_string()],
-                vec!["select 9".to_string()],
-            ]
-        );
-    }
 
     #[test]
     fn app_output_set_get_apply() {

@@ -2,7 +2,9 @@
 //!
 //! The Querc pipeline: embed every query, pick K with the elbow method,
 //! run K-means, and keep the query nearest each centroid ("witnesses") as
-//! the compressed workload handed to the tuning advisor.
+//! the compressed workload handed to the tuning advisor. The
+//! [`SummarizeApp`] serves the same clustering per query as one
+//! configuration of [`ClusterApp`].
 //!
 //! Two classical comparators are provided for the ablation benches:
 //! K-medoids over hand-engineered syntactic features (the Chaudhuri-style
@@ -10,12 +12,9 @@
 //! and uniform random sampling (what a tuning advisor's native compressor
 //! does).
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
-use crate::enriched::EnrichedQuery;
-use crate::error::Result;
-use querc_cluster::{choose_k_elbow, kmeans, KMeansConfig};
+use super::cluster::{kmeans_witnesses, ClusterApp, ClusterSpec};
+use querc_cluster::choose_k_elbow;
 use querc_embed::Embedder;
-use querc_index::{FlatIndex, IndexStats, Metric, VectorIndex};
 use querc_linalg::Pcg32;
 use querc_sql::features::feature_vector;
 use querc_sql::Dialect;
@@ -67,20 +66,11 @@ pub fn summarize_workload(
     if sqls.is_empty() {
         return Vec::new();
     }
-    let mut rng = Pcg32::with_stream(cfg.seed, 0x5a12);
+    let mut rng = Pcg32::with_stream(cfg.seed, SUMMARIZE.stream);
     match method {
         SummaryMethod::Embedding(embedder) => {
             let points: Vec<Vec<f32>> = sqls.iter().map(|s| embedder.embed_sql(s)).collect();
-            let k = effective_k(cfg, &points, &mut rng);
-            let result = kmeans(
-                &points,
-                &KMeansConfig {
-                    k,
-                    ..Default::default()
-                },
-                &mut rng,
-            );
-            dedup_witnesses(result.witnesses(&points))
+            dedup_witnesses(kmeans_witnesses(&points, cfg, &mut rng).1)
         }
         SummaryMethod::SyntacticKMedoids => {
             let points: Vec<Vec<f32>> = sqls
@@ -98,7 +88,7 @@ pub fn summarize_workload(
     }
 }
 
-fn effective_k(cfg: &SummaryConfig, points: &[Vec<f32>], rng: &mut Pcg32) -> usize {
+pub(super) fn effective_k(cfg: &SummaryConfig, points: &[Vec<f32>], rng: &mut Pcg32) -> usize {
     match cfg.k {
         Some(k) => k.min(points.len()),
         None => choose_k_elbow(
@@ -117,224 +107,36 @@ fn dedup_witnesses(mut w: Vec<usize>) -> Vec<usize> {
     w
 }
 
-/// [`summarize_workload`]'s clustering behind the uniform
-/// [`WorkloadApp`] interface: `fit` clusters the training workload and
-/// keeps per-cluster witnesses; `label_batch` assigns each incoming
-/// query to its summary cluster.
-///
-/// Labels attached per query: `summary_cluster` (cluster id) and
-/// `summary_witness` (the cluster's representative query — what the
-/// tuning advisor would see in the compressed workload).
-pub struct SummarizeApp {
-    embedder: Arc<dyn Embedder>,
-    /// Clustering configuration used at fit time.
-    pub cfg: SummaryConfig,
-}
+pub(super) const SUMMARIZE: ClusterSpec = ClusterSpec {
+    name: "summarize",
+    task: "compress the workload to cluster witnesses for index tuning",
+    keys: ("summary_cluster", "summary_witness"),
+    k: None,
+    seed: 0x5a11,
+    stream: 0x5a12,
+    sessions: None,
+};
+
+/// [`summarize_workload`]'s clustering as a [`ClusterApp`]: `fit`
+/// clusters the training workload and keeps per-cluster witnesses;
+/// `label_batch` labels each query's `summary_cluster` and that
+/// cluster's `summary_witness` (what the tuning advisor would see in
+/// the compressed workload).
+pub struct SummarizeApp;
 
 impl SummarizeApp {
-    /// A summarization app over `embedder` with the default elbow scan.
-    pub fn new(embedder: Arc<dyn Embedder>) -> SummarizeApp {
-        SummarizeApp {
-            embedder,
-            cfg: SummaryConfig::default(),
-        }
+    /// The summarization app over `embedder` with the default elbow scan.
+    #[allow(clippy::new_ret_no_self)] // both configurations are one type, `ClusterApp`
+    pub fn new(embedder: Arc<dyn Embedder>) -> ClusterApp {
+        ClusterApp::new(&SUMMARIZE, embedder)
     }
-
-    /// Override the clustering configuration.
-    pub fn with_config(mut self, cfg: SummaryConfig) -> SummarizeApp {
-        self.cfg = cfg;
-        self
-    }
-}
-
-/// A fitted workload summary: cluster centroids plus their witnesses.
-pub struct SummaryModel {
-    /// Exact index over the summary centroids; serving assigns each
-    /// incoming query's vector with a k=1 search.
-    centroids: FlatIndex,
-    /// Witness SQL per centroid (`witnesses[c]` represents cluster `c`).
-    witnesses: Vec<String>,
-    /// Indices of the witness queries in the training corpus.
-    pub witness_indices: Vec<usize>,
-    trained_queries: usize,
-}
-
-impl SummaryModel {
-    /// The compressed workload: one representative SQL per cluster.
-    pub fn witnesses(&self) -> &[String] {
-        &self.witnesses
-    }
-
-    /// Summary-cluster id of a precomputed embedding vector.
-    pub fn cluster_of_vector(&self, v: &[f32]) -> usize {
-        self.centroids.nearest(v).unwrap_or(0) as usize
-    }
-
-    /// Search counters of the centroid index.
-    pub fn index_stats(&self) -> IndexStats {
-        self.centroids.stats()
-    }
-}
-
-impl WorkloadApp for SummarizeApp {
-    type Model = SummaryModel;
-
-    fn name(&self) -> &'static str {
-        "summarize"
-    }
-
-    fn task(&self) -> &'static str {
-        "compress the workload to cluster witnesses for index tuning"
-    }
-
-    fn fit(&self, corpus: &TrainCorpus) -> Result<SummaryModel> {
-        corpus.require_records("summarize.fit")?;
-        let docs = corpus.token_corpus();
-        let points = self.embedder.embed_batch(&docs);
-        let mut rng = Pcg32::with_stream(self.cfg.seed ^ corpus.seed, 0x5a12);
-        let k = effective_k(&self.cfg, &points, &mut rng);
-        let result = kmeans(
-            &points,
-            &KMeansConfig {
-                k,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        // Per-centroid witness: the training query nearest each centroid.
-        let per_cluster = result.witnesses(&points);
-        let witness_indices = dedup_witnesses(per_cluster.clone());
-        let witnesses = per_cluster
-            .iter()
-            .map(|&i| corpus.records[i].sql.clone())
-            .collect();
-        Ok(SummaryModel {
-            centroids: FlatIndex::from_rows(&result.centroids, Metric::Euclidean),
-            witnesses,
-            witness_indices,
-            trained_queries: corpus.len(),
-        })
-    }
-
-    fn label_batch(&self, model: &SummaryModel, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
-        let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
-        // One batched k=1 search over the centroid index for the chunk.
-        Ok(model
-            .centroids
-            .nearest_batch(&refs)
-            .into_iter()
-            .map(|c| {
-                let cluster = c.unwrap_or(0) as usize;
-                let mut out = AppOutput::new();
-                out.set("summary_cluster", cluster.to_string());
-                out.set("summary_witness", model.witnesses[cluster].clone());
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn index_stats(&self, model: &SummaryModel) -> Option<IndexStats> {
-        Some(model.index_stats())
-    }
-
-    fn report(&self, model: &SummaryModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                ("embedder".to_string(), self.embedder.name().to_string()),
-                ("clusters".to_string(), model.centroids.len().to_string()),
-                (
-                    "witnesses".to_string(),
-                    model.witness_indices.len().to_string(),
-                ),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &SummaryModel) -> Option<String> {
-        let store = model.centroids.store();
-        let mut flat = Vec::with_capacity(store.len() * store.dim());
-        for row in store.iter() {
-            flat.extend_from_slice(row);
-        }
-        crate::persist::to_json(&SummaryState {
-            dim: store.dim(),
-            centroids: flat,
-            witnesses: model.witnesses.clone(),
-            witness_indices: model.witness_indices.clone(),
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<SummaryModel> {
-        let state: SummaryState = crate::persist::from_json(json, "summarize model")?;
-        let rows = restore_centroids(
-            &state.dim,
-            &state.centroids,
-            self.embedder.dim(),
-            "summarize",
-        )?;
-        if state.witnesses.len() != rows.len() {
-            return Err(crate::persist::corrupt(format!(
-                "summarize model has {} witnesses for {} centroids",
-                state.witnesses.len(),
-                rows.len()
-            )));
-        }
-        Ok(SummaryModel {
-            centroids: FlatIndex::from_rows(&rows, Metric::Euclidean),
-            witnesses: state.witnesses,
-            witness_indices: state.witness_indices,
-            trained_queries: state.trained_queries,
-        })
-    }
-}
-
-/// Serialized form of a [`SummaryModel`]: centroid rows flattened
-/// row-major (`dim` floats each) plus the witness table.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SummaryState {
-    dim: usize,
-    centroids: Vec<f32>,
-    witnesses: Vec<String>,
-    witness_indices: Vec<usize>,
-    trained_queries: usize,
-}
-
-/// Unflatten and validate a serialized centroid matrix against the app
-/// embedder's width. Shared with the recommendation app — both restore
-/// a centroid `FlatIndex` that serving will probe with embedder output.
-pub(crate) fn restore_centroids(
-    dim: &usize,
-    flat: &[f32],
-    embedder_dim: usize,
-    app: &str,
-) -> Result<Vec<Vec<f32>>> {
-    let dim = *dim;
-    if dim == 0 || dim != embedder_dim {
-        return Err(crate::persist::corrupt(format!(
-            "{app} model centroids have dim {dim} but embedder has dim {embedder_dim}"
-        )));
-    }
-    if flat.is_empty() || !flat.len().is_multiple_of(dim) {
-        return Err(crate::persist::corrupt(format!(
-            "{app} model centroid matrix has {} floats, not a positive multiple of dim {dim}",
-            flat.len()
-        )));
-    }
-    Ok(flat.chunks_exact(dim).map(<[f32]>::to_vec).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{TrainCorpus, WorkloadApp};
+    use crate::enriched::EnrichedQuery;
     use querc_embed::BagOfTokens;
 
     fn mixed_workload() -> Vec<String> {
@@ -450,7 +252,8 @@ mod tests {
                 ..Default::default()
             });
         let model = app.fit(&corpus).unwrap();
-        assert!(!model.witnesses().is_empty() && model.witnesses().len() <= 6);
+        let report = app.report(&model);
+        assert_eq!(report.detail[1], ("clusters".to_string(), "6".to_string()));
         let out = app
             .label_batch(
                 &model,
@@ -468,7 +271,7 @@ mod tests {
             out[1].get("summary_cluster"),
             "insert and lookup should not share a cluster"
         );
-        assert_eq!(app.report(&model).app, "summarize");
+        assert_eq!(report.app, "summarize");
     }
 
     #[test]
@@ -510,18 +313,7 @@ mod tests {
             app.label_batch(&model, &batch).unwrap(),
             app.label_batch(&restored, &batch).unwrap()
         );
-        assert_eq!(restored.witnesses(), model.witnesses());
-        assert_eq!(restored.witness_indices, model.witness_indices);
-
-        // Witness/centroid count mismatch would index-panic at label
-        // time; the restore path must reject it instead.
-        let mut state: SummaryState = crate::persist::from_json(&json, "t").unwrap();
-        state.witnesses.pop();
-        let truncated = crate::persist::to_json(&state).unwrap();
-        assert!(matches!(
-            app.load_model(&truncated),
-            Err(crate::error::QuercError::Corrupt { .. })
-        ));
+        assert_eq!(app.report(&restored), app.report(&model));
     }
 
     #[test]

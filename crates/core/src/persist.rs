@@ -4,7 +4,7 @@
 //! a `querc-persist` snapshot, and the shared validation helpers
 //! restore paths use. Every section name is spelled in this module.
 //!
-//! QUERCSNAP v3 sections (see ARCHITECTURE.md for the table):
+//! QUERCSNAP v4 sections (see ARCHITECTURE.md for the table):
 //!
 //! * `manifest`, `registry`, `app:<name>`, `qos` — small JSON documents;
 //! * `embedder:<ns-hex>` — one per distinct
@@ -14,7 +14,10 @@
 //! * `app:<name>:model` — the `save_model` payload, raw text; the four
 //!   [`crate::apps::LabelApp`] configurations write one shape,
 //!   `{labeler: LabelerState, trained_queries}` (v3 — v2 gave
-//!   `errors`, `resources` and `routing` their own);
+//!   `errors`, `resources` and `routing` their own), and the two
+//!   [`crate::apps::ClusterApp`] configurations another,
+//!   `{dim, centroids, table, trained_queries}` (v4 — v3 gave
+//!   `recommend` and `summarize` their own);
 //! * `embed_cache`, `embed_cache_delta` — little-endian binary records.
 //!
 //! The container guarantees sections arrive byte-identical or not at

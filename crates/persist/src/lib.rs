@@ -11,7 +11,7 @@
 //! interpreted.
 //!
 //! ```text
-//! QUERCSNAP v3\n                          magic + format version
+//! QUERCSNAP v4\n                          magic + format version
 //! SECTION <name> <len> <crc32hex>\n       per-section header
 //! <len payload bytes>\n                   payload (opaque)
 //! ...more sections...
@@ -21,7 +21,8 @@
 //!
 //! The framing is v1's; the version names the **section schema** the
 //! serving layer writes (see ARCHITECTURE.md): v2 replaced v1's
-//! wholesale, and v3 gave every labeling app's model one payload shape.
+//! wholesale, v3 gave every labeling app's model one payload shape, and
+//! v4 gave the two clustering apps' models one payload shape.
 //! A file of any other version is rejected by name, not read.
 //!
 //! **Every byte once.** [`Snapshot::write_to`] streams through a
@@ -52,7 +53,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magic + format version, first line of every snapshot.
-pub const MAGIC: &str = "QUERCSNAP v3";
+pub const MAGIC: &str = "QUERCSNAP v4";
 
 /// What every version's magic line starts with.
 const MAGIC_PREFIX: &str = "QUERCSNAP ";
@@ -720,10 +721,10 @@ mod tests {
         for garbage in [
             &b""[..],
             b"\n",
-            b"QUERCSNAP v4\nEND 0 00000000\n",
-            b"QUERCSNAP v3\nSECTION",
-            b"QUERCSNAP v3\nSECTION a 99999999999999999999 0\nEND 0 0\n",
-            b"QUERCSNAP v3\nSECTION a 4 zzzzzzzz\nxxxx\nEND 1 0\n",
+            b"QUERCSNAP v5\nEND 0 00000000\n",
+            b"QUERCSNAP v4\nSECTION",
+            b"QUERCSNAP v4\nSECTION a 99999999999999999999 0\nEND 0 0\n",
+            b"QUERCSNAP v4\nSECTION a 4 zzzzzzzz\nxxxx\nEND 1 0\n",
             b"\xff\xfe\x00\x01",
         ] {
             assert!(SnapshotReader::from_bytes(garbage).is_err());
@@ -732,8 +733,9 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected_by_name_not_read() {
-        // Well-formed v1 and v2 files: same framing, older section schemas.
-        for version in ["v1", "v2"] {
+        // Well-formed v1, v2 and v3 files: same framing, older section
+        // schemas.
+        for version in ["v1", "v2", "v3"] {
             let old = to_bytes(Snapshot::new().add_section("a", b"x".to_vec()))
                 .strip_prefix(MAGIC.as_bytes())
                 .map(|rest| [format!("QUERCSNAP {version}").as_bytes(), rest].concat())

@@ -6,9 +6,8 @@
 //!
 //! Run with: `cargo run --release --example workload_explorer`
 
-use querc::apps::recommend::QueryRecommender;
 use querc::apps::resources::ResourceBuckets;
-use querc::apps::{ErrorsApp, ResourcesApp, TrainCorpus, WorkloadApp};
+use querc::apps::{ErrorsApp, RecommendApp, ResourcesApp, TrainCorpus, WorkloadApp};
 use querc::EnrichedQuery;
 use querc_cluster::{choose_k_elbow, kmeans, mean_silhouette, KMeansConfig};
 use querc_embed::{BagOfTokens, Embedder};
@@ -97,20 +96,16 @@ fn main() {
     }
 
     // --- next-query recommendation -----------------------------------------
-    // Per-user ordered histories from the log.
-    let mut by_user: std::collections::BTreeMap<&str, Vec<String>> = Default::default();
-    for r in &wl.records {
-        by_user
-            .entry(r.user.as_str())
-            .or_default()
-            .push(r.sql.clone());
-    }
-    let histories: Vec<Vec<String>> = by_user.into_values().filter(|h| h.len() >= 3).collect();
-    let recommender = QueryRecommender::train(&histories, Arc::clone(&embedder), k, 13);
+    // Sessions are each user's queries in timestamp order.
+    let recommend_app = RecommendApp::new(Arc::clone(&embedder)).with_clusters(k);
+    let recommend_model = recommend_app
+        .fit(&TrainCorpus::from_records(wl.records.clone(), 13))
+        .expect("non-empty log");
+    let next = recommend_app
+        .label_batch(&recommend_model, &batch[..1])
+        .expect("a recommend model");
     let last = &wl.records[0].sql;
     println!("\nafter: {}", &last[..last.len().min(84)]);
-    println!("recommend next: {}", {
-        let r = recommender.recommend(last);
-        &r[..r.len().min(84)]
-    });
+    let rec = next[0].get("next_query").unwrap_or("?");
+    println!("recommend next: {}", &rec[..rec.len().min(84)]);
 }

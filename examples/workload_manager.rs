@@ -13,14 +13,16 @@ use querc_workloads::{SnowCloud, SnowCloudConfig};
 use std::sync::Arc;
 
 fn main() {
-    // 1. A multi-tenant query log → training corpus (per-user session
-    //    histories are derived automatically).
+    // 1. A multi-tenant query log → training corpus (the recommend app
+    //    groups it into per-user sessions itself).
     let workload = SnowCloud::generate(&SnowCloudConfig::pretrain(6, 80, 0x2019));
     let corpus = TrainCorpus::from_records(workload.records.clone(), 0x2019);
+    let users: std::collections::BTreeSet<&str> =
+        corpus.records.iter().map(|r| r.user.as_str()).collect();
     println!(
         "corpus: {} queries, {} user sessions",
         corpus.len(),
-        corpus.histories.len()
+        users.len()
     );
 
     // 2. One shared embedder, six apps, one manager.
