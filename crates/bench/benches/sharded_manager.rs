@@ -40,12 +40,12 @@ fn serve_stream(schedule: &ReplaySchedule, fitted: &Arc<FittedApp>, shards_per_a
     });
     mgr.register_fitted(Arc::clone(fitted)).unwrap();
     let mut buf: Vec<LabeledQuery> = Vec::with_capacity(SUBMIT_CHUNK);
-    schedule.replay_unpaced(|record| {
-        buf.push(LabeledQuery::from_record(record));
+    for event in schedule.events() {
+        buf.push(LabeledQuery::from_record(&event.record));
         if buf.len() == SUBMIT_CHUNK {
             mgr.submit_batch("resources", buf.drain(..)).unwrap();
         }
-    });
+    }
     if !buf.is_empty() {
         mgr.submit_batch("resources", buf.drain(..)).unwrap();
     }
@@ -61,7 +61,7 @@ fn bench_sharded_manager(c: &mut Criterion) {
     let schedule = ReplaySchedule::from_records(
         &workload.records,
         &ReplayConfig {
-            qps: 1.0, // offsets ignored: replay_unpaced measures the ceiling
+            qps: 1.0, // offsets ignored: the unpaced loop measures the ceiling
             ..Default::default()
         },
     );

@@ -1125,6 +1125,40 @@ mod tests {
         }
         let drained = mgr.drain();
         assert_eq!(drained.outputs["resources"].len(), 8);
+
+        // The same on a real six-dialect trace (1894 queries): at two
+        // shards, tenant routing splits some table that several tenants
+        // query, and every query drains under lineage routing.
+        let trace = querc_workloads::SnowCloud::generate(
+            &querc_workloads::SnowCloudConfig::paper_table2(0.01, 0x11de),
+        );
+        assert_eq!(trace.records.len(), 1894);
+        let mut by_key: BTreeMap<String, (HashSet<&str>, HashSet<usize>)> = BTreeMap::new();
+        for r in &trace.records {
+            let lq = LabeledQuery::from_record(r);
+            let (tenants, tenant_shards) = by_key.entry(lineage_routing_key(&lq)).or_default();
+            tenants.insert(&r.account);
+            tenant_shards.insert(shard_for(routing_key(&lq), 2));
+        }
+        assert!(
+            by_key
+                .values()
+                .any(|(tenants, shards)| tenants.len() >= 2 && shards.len() > 1),
+            "the trace should hold a multi-tenant table that tenant routing scatters"
+        );
+        let mut mgr = WorkloadManager::new(WorkloadManagerConfig {
+            shards_per_app: 2,
+            routing: RoutingPolicy::Lineage,
+            ..Default::default()
+        });
+        mgr.register(ResourcesApp::new(embedder()), &corpus)
+            .unwrap();
+        for r in &trace.records {
+            mgr.submit("resources", LabeledQuery::from_record(r))
+                .unwrap();
+        }
+        let drained = mgr.drain();
+        assert_eq!(drained.outputs["resources"].len(), trace.records.len());
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod snowcloud;
 pub mod tpch;
 
 pub use record::QueryRecord;
-pub use replay::{ReplayConfig, ReplayEvent, ReplaySchedule, ReplayStats, TenantMix};
+pub use replay::{ReplayConfig, ReplayEvent, ReplaySchedule, TenantMix};
 pub use snowcloud::{AccountSpec, SnowCloud, SnowCloudConfig};
 pub use tpch::{TpchQuery, TpchWorkload};

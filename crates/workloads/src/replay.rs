@@ -3,12 +3,7 @@
 //! A [`ReplaySchedule`] rewrites a corpus's log timestamps into wall-
 //! clock offsets at a configurable aggregate QPS with tunable
 //! burstiness, preserving the corpus order (and therefore every
-//! tenant's relative order). [`ReplaySchedule::replay`] then drives a
-//! sink **open-loop**: each query fires at its scheduled offset
-//! regardless of how long the sink takes, which is how real load
-//! arrives — a slow server doesn't slow the clients down, it builds a
-//! queue. When the sink falls behind, events fire back-to-back and the
-//! accumulated schedule slip is reported as [`ReplayStats::max_lag`].
+//! tenant's relative order).
 //!
 //! The schedule is deterministic in [`ReplayConfig::seed`], so a replay
 //! is exactly repeatable — the property load tests need to be
@@ -30,7 +25,7 @@
 
 use crate::record::QueryRecord;
 use querc_linalg::Pcg32;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Heavy-tailed tenant popularity for a replay: each scheduled query is
 /// reassigned to one of `tenants` synthetic tenants drawn from a Zipf
@@ -91,20 +86,6 @@ pub struct ReplayEvent {
     pub offset: Duration,
     /// The query (with its original log labels) to submit.
     pub record: QueryRecord,
-}
-
-/// Outcome of one [`ReplaySchedule::replay`] run.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayStats {
-    /// Queries handed to the sink.
-    pub dispatched: usize,
-    /// Wall-clock time the replay took.
-    pub elapsed: Duration,
-    /// Worst schedule slip observed: how far behind its planned offset
-    /// the most delayed dispatch was. Near zero means the sink kept up;
-    /// growing lag means the sink (or its backpressure) is the
-    /// bottleneck, not the arrival process.
-    pub max_lag: Duration,
 }
 
 /// Inverse-CDF Zipf sampler over tenant ranks: weight `1/(i+1)^s`,
@@ -215,57 +196,6 @@ impl ReplaySchedule {
             .map(|e| querc_sql::template_fingerprint(&e.record.sql, querc_sql::Dialect::Generic))
             .collect::<std::collections::HashSet<_>>()
             .len()
-    }
-
-    /// Number of distinct *tenants* (by `account`) in the schedule — the
-    /// tenant-cardinality companion to
-    /// [`ReplaySchedule::distinct_templates`], and the QoS-planning
-    /// number: per-tenant scheduler memory and fair-share math both
-    /// scale with the tenants actually present, not with
-    /// [`TenantMix::tenants`] (a heavy-tailed draw routinely leaves cold
-    /// ranks unsampled).
-    pub fn distinct_tenants(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| e.record.account.as_str())
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-    }
-
-    /// Drive `sink` open-loop: sleep until each event's offset, then
-    /// dispatch. A sink that falls behind is fed back-to-back (the
-    /// schedule never waits for it) and the slip shows up in
-    /// [`ReplayStats::max_lag`].
-    pub fn replay(&self, mut sink: impl FnMut(&QueryRecord)) -> ReplayStats {
-        let start = Instant::now();
-        let mut stats = ReplayStats::default();
-        for event in &self.events {
-            let now = start.elapsed();
-            if now < event.offset {
-                std::thread::sleep(event.offset - now);
-            } else {
-                stats.max_lag = stats.max_lag.max(now - event.offset);
-            }
-            sink(&event.record);
-            stats.dispatched += 1;
-        }
-        stats.elapsed = start.elapsed();
-        stats
-    }
-
-    /// Dispatch every event to `sink` as fast as it will accept them,
-    /// ignoring offsets — the throughput-measurement mode benches use to
-    /// find the serving ceiling rather than the arrival rate.
-    pub fn replay_unpaced(&self, mut sink: impl FnMut(&QueryRecord)) -> ReplayStats {
-        let start = Instant::now();
-        for event in &self.events {
-            sink(&event.record);
-        }
-        ReplayStats {
-            dispatched: self.events.len(),
-            elapsed: start.elapsed(),
-            max_lag: Duration::ZERO,
-        }
     }
 }
 
@@ -462,13 +392,18 @@ mod tests {
             whale > 2000 / 40 * 4,
             "whale far exceeds the uniform share: {whale}"
         );
-        // Cardinality surfaces next to distinct_templates().
-        assert!(schedule.distinct_tenants() > 10);
-        assert!(schedule.distinct_tenants() <= 40);
+        // Most of the 40 ranks are drawn, and all share one template.
+        assert!(counts.len() > 10);
+        assert!(counts.len() <= 40);
         assert_eq!(schedule.distinct_templates(), 1);
         // Without a mix, the corpus's own 3 accounts survive.
         let plain = ReplaySchedule::from_records(&records(100), &ReplayConfig::default());
-        assert_eq!(plain.distinct_tenants(), 3);
+        let accounts: std::collections::HashSet<&str> = plain
+            .events()
+            .iter()
+            .map(|e| e.record.account.as_str())
+            .collect();
+        assert_eq!(accounts.len(), 3);
     }
 
     #[test]
@@ -476,35 +411,5 @@ mod tests {
         let schedule = ReplaySchedule::from_records(&[], &ReplayConfig::default());
         assert!(schedule.is_empty());
         assert_eq!(schedule.duration(), Duration::ZERO);
-        let stats = schedule.replay(|_| panic!("no events to dispatch"));
-        assert_eq!(stats.dispatched, 0);
-    }
-
-    #[test]
-    fn replay_dispatches_everything_and_tracks_time() {
-        let cfg = ReplayConfig {
-            qps: 10_000.0,
-            ..Default::default()
-        };
-        let schedule = ReplaySchedule::from_records(&records(100), &cfg);
-        let mut seen = Vec::new();
-        let stats = schedule.replay(|r| seen.push(r.sql.clone()));
-        assert_eq!(stats.dispatched, 100);
-        assert_eq!(seen.len(), 100);
-        assert_eq!(seen[99], "select 99 from t");
-        assert!(stats.elapsed >= schedule.duration());
-    }
-
-    #[test]
-    fn unpaced_replay_ignores_the_clock() {
-        let cfg = ReplayConfig {
-            qps: 1.0, // paced, this would take ~100 seconds
-            ..Default::default()
-        };
-        let schedule = ReplaySchedule::from_records(&records(100), &cfg);
-        let mut n = 0usize;
-        let stats = schedule.replay_unpaced(|_| n += 1);
-        assert_eq!((n, stats.dispatched), (100, 100));
-        assert!(stats.elapsed < Duration::from_secs(5));
     }
 }
